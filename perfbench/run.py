@@ -36,7 +36,7 @@ import workloads  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
-WORKLOADS = ["spmv64-t1", "pagerank64-t4", "sweep-grid", "serve-mix"]
+WORKLOADS = ["spmv64-t1", "sweep-grid", "serve-mix"]
 
 
 class BenchError(Exception):

@@ -21,7 +21,10 @@ import measure
 import workloads
 
 WORKERS = 2
-CLIENTS = 4
+# One client more than the workers keeps a request queued. With two
+# more, the 10-run spread of latency and throughput was about twice as
+# wide on a shared 4-vCPU host.
+CLIENTS = 3
 KERNELS = ["bfs", "sssp", "pagerank", "wcc", "spmv", "histogram", "kcore"]
 SCALES = [9, 10, 11]
 GRIDS = [4, 8, 16]

@@ -9,22 +9,22 @@ the real front end's output for the same inputs.
 
 Which end-to-end metric each layer metric should move (and where):
 
-- graph.dataset_s, graph.cache_hit_ratio: setup_s on the CLI
-  workloads; serve-mix latency through its cold requests.
+- graph.dataset_s, graph.cache_hit_ratio: setup_s on spmv64-t1;
+  serve-mix latency through its cold requests.
 - apps.kernel_setup_s, sim.build_s: setup_s; serve-mix latency.
 - apps.validate_s: rows_per_s on sweep-grid.
 - sim.run_s, sim.stepped_cycles, sim.ns_per_stepped_cycle,
-  sim.tile_scans, sim.tile_scan_occupancy: wall_s on the CLI
-  workloads.
+  sim.tile_scans, sim.tile_scan_occupancy: wall_s on spmv64-t1 and
+  rows_per_s on sweep-grid.
 - tile.invocations, tile.utilization: sim_cycles, and wall_s.
 - noc.router_scans, noc.router_scan_occupancy, noc.stepped_cycles,
   noc.flit_hops: wall_s on spmv64-t1. noc.messages_delivered and
   noc.delivery_stall_ratio (the NoC's retry rate): sim_cycles.
-- parallel.speedup_t4_vs_t1 (sim.run_s of the same point at 1 engine
-  thread over 4): wall_s on pagerank64-t4, with no change predicted
-  on spmv64-t1. Measured on the two CLI workloads only; it reads 0 on
-  sweep-grid and serve-mix, whose many small points run on one
-  engine thread each.
+- parallel.speedup_t4_vs_t1 (sim.run_s of the spmv64-t1 point at 1
+  engine thread over 4): no end-to-end workload runs several engine
+  threads, so it is the benchmark's only view of the worker crew and
+  its barriers. It reads 0 on sweep-grid and serve-mix, whose many
+  small points run on one engine thread each.
 - energy.model_s: wall_s; expected to stay negligible.
 - cli.render_s, cli.report_bytes: wall_s and serve-mix latency.
 - serve.parse_s, serve.accept_ms (send to `accepted`),
