@@ -117,19 +117,6 @@ parseEngineScan(const std::string& text, EngineScan& out)
 }
 
 bool
-parseEngineBarrier(const std::string& text, EngineBarrier& out)
-{
-    const std::string b = toLower(text);
-    if (b == "tree")
-        out = EngineBarrier::tree;
-    else if (b == "central")
-        out = EngineBarrier::central;
-    else
-        return false;
-    return true;
-}
-
-bool
 parseDistribution(const std::string& text, Distribution& out)
 {
     const std::string d = toLower(text);
@@ -155,8 +142,8 @@ parseArgs(int argc, const char* const* argv)
             "--topology",     "--ruche-factor", "--policy",
             "--distribution", "--scale",        "--dataset",
             "--seed",         "--invoke-overhead", "--max-cycles",
-            "--engine-threads", "--engine-scan", "--engine-barrier",
-            "--param",          "--pagerank-iters", "--deadline-ms",
+            "--engine-threads", "--engine-scan", "--param",
+            "--pagerank-iters", "--deadline-ms",
         };
         return std::find(valued.begin(), valued.end(), flag) !=
                valued.end();
@@ -229,12 +216,6 @@ parseArgs(int argc, const char* const* argv)
             if (!parseEngineScan(value, o.machine.engineScan))
                 return fail("--engine-scan must be full|active, got " +
                             value);
-        } else if (flag == "--engine-barrier") {
-            if (!parseEngineBarrier(value, o.machine.engineBarrier))
-                return fail("--engine-barrier must be tree|central, "
-                            "got " + value);
-        } else if (flag == "--engine-rebalance") {
-            o.machine.engineRebalance = true;
         } else if (flag == "--param") {
             std::string err;
             if (!parseParamOverrides(value, o.params, err))
@@ -374,14 +355,6 @@ usageText()
         "                       (default 1; clamped to the tile\n"
         "                       count; stats are byte-identical for\n"
         "                       every N)\n"
-        "  --engine-barrier B   tree|central (default tree): the\n"
-        "                       cycle loop's worker barrier — the\n"
-        "                       MCS-style sense-reversing tree or the\n"
-        "                       centralized std::barrier reference;\n"
-        "                       stats are byte-identical for both\n"
-        "  --engine-rebalance   re-split the shard tile ranges when\n"
-        "                       the active set concentrates (off by\n"
-        "                       default; stats stay byte-identical)\n"
         "  --engine-scan M      full|active (default active): step\n"
         "                       only the active tile/router worklists\n"
         "                       or keep the exhaustive per-cycle scan\n"
@@ -638,11 +611,7 @@ renderJson(const Report& report)
         << "\"engine_threads\":"
         << std::max(1u, o.machine.engineThreads) << ","
         << "\"engine_scan\":\"" << toString(o.machine.engineScan)
-        << "\","
-        << "\"engine_barrier\":\""
-        << toString(o.machine.engineBarrier) << "\","
-        << "\"engine_rebalance\":"
-        << (o.machine.engineRebalance ? "true" : "false") << "},";
+        << "\"},";
     out << "\"stats\":{"
         << "\"cycles\":" << s.cycles << ","
         << "\"epochs\":" << s.epochs << ","
@@ -679,7 +648,6 @@ renderJson(const Report& report)
         << ","
         << "\"active_router_cycles_saved\":"
         << s.activeRouterCyclesSaved << ","
-        << "\"rebalances\":" << s.engineRebalances << ","
         << "\"tile_scan_occupancy\":"
         << Table::num(s.tileScanOccupancy()) << ","
         << "\"router_scan_occupancy\":"

@@ -118,7 +118,6 @@ bool parseTopology(const std::string& text, NocTopology& out);
 bool parsePolicy(const std::string& text, SchedPolicy& out);
 bool parseDistribution(const std::string& text, Distribution& out);
 bool parseEngineScan(const std::string& text, EngineScan& out);
-bool parseEngineBarrier(const std::string& text, EngineBarrier& out);
 
 /** Parse a decimal unsigned integer; false on junk or overflow. */
 bool parseU64(const std::string& text, std::uint64_t& out);

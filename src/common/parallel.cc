@@ -1,35 +1,35 @@
 #include "common/parallel.hh"
 
 #include <algorithm>
+#include <vector>
 
 namespace dalorex
 {
 
 void
+runSpmd(unsigned members, const std::function<void(unsigned)>& fn)
+{
+    std::vector<std::thread> threads;
+    threads.reserve(members > 1 ? members - 1 : 0);
+    for (unsigned m = 1; m < members; ++m)
+        threads.emplace_back([&fn, m] { fn(m); });
+    fn(0); // the calling thread is member 0
+    for (std::thread& t : threads)
+        t.join();
+}
+
+void
 runIndexed(std::size_t n, unsigned threads,
            const std::function<void(std::size_t)>& job)
 {
-    const std::size_t workers =
-        std::min<std::size_t>(std::max(1u, threads), n);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            job(i);
-        return;
-    }
-
     std::atomic<std::size_t> next{0};
-    auto drain = [&] {
-        for (std::size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1))
-            job(i);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w)
-        pool.emplace_back(drain);
-    drain(); // the calling thread is worker 0
-    for (std::thread& t : pool)
-        t.join();
+    runSpmd(static_cast<unsigned>(
+                std::min<std::size_t>(std::max(1u, threads), n)),
+            [&](unsigned) {
+                for (std::size_t i = next.fetch_add(1); i < n;
+                     i = next.fetch_add(1))
+                    job(i);
+            });
 }
 
 unsigned
@@ -39,111 +39,14 @@ defaultWorkerThreads()
     return hw > 0 ? hw : 1;
 }
 
-WorkerCrew::WorkerCrew(unsigned members)
-    : members_(std::max(1u, members))
-{
-    threads_.reserve(members_ - 1);
-    for (unsigned m = 1; m < members_; ++m)
-        threads_.emplace_back([this, m] { workerLoop(m); });
-}
-
-WorkerCrew::~WorkerCrew()
-{
-    stop_.store(true, std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_acq_rel);
-    generation_.notify_all();
-    for (std::thread& t : threads_)
-        t.join();
-}
-
-void
-WorkerCrew::runPhase(const std::function<void(unsigned)>& fn)
-{
-    if (members_ == 1) {
-        fn(0);
-        return;
-    }
-    phase_ = &fn;
-    remaining_.store(members_, std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_acq_rel);
-    generation_.notify_all();
-
-    fn(0); // the calling thread is member 0
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) > 1) {
-        // Wait for the stragglers; the last one notifies.
-        unsigned left = remaining_.load(std::memory_order_acquire);
-        while (left != 0) {
-            remaining_.wait(left, std::memory_order_acquire);
-            left = remaining_.load(std::memory_order_acquire);
-        }
-    }
-    phase_ = nullptr;
-}
-
-TreeBarrier::TreeBarrier(unsigned members)
-    : members_(std::max(1u, members)), nodes_(members_)
+PhaseBarrier::PhaseBarrier(unsigned members)
+    : members_(std::max(1u, members)),
+      barrier_(static_cast<std::ptrdiff_t>(members_), Completion{this})
 {
 }
 
 void
-TreeBarrier::waitFor(std::atomic<std::uint64_t>& flag,
-                     std::uint64_t epoch)
-{
-    // Short spin first: barrier partners in a cycle loop usually
-    // arrive within a handful of loads, and the spin touches only the
-    // waited-on node's cache line.
-    for (int spin = 0; spin < 256; ++spin) {
-        if (flag.load(std::memory_order_acquire) >= epoch)
-            return;
-    }
-    std::uint64_t seen = flag.load(std::memory_order_acquire);
-    while (seen < epoch) {
-        flag.wait(seen, std::memory_order_acquire);
-        seen = flag.load(std::memory_order_acquire);
-    }
-}
-
-void
-TreeBarrier::sync(unsigned member, const SerialFn* serial)
-{
-    Node& me = nodes_[member];
-    const std::uint64_t epoch = ++me.epoch;
-    if (members_ == 1) {
-        if (serial != nullptr && *serial)
-            (*serial)();
-        return;
-    }
-
-    // Gather: wait until every arrival-tree child's subtree reached
-    // this epoch, then report our own subtree upward. The acquire
-    // chain makes every descendant's pre-sync writes visible here.
-    const unsigned first_child = member * arriveArity + 1;
-    for (unsigned c = first_child;
-         c < first_child + arriveArity && c < members_; ++c)
-        waitFor(nodes_[c].arrived, epoch);
-    if (member != 0) {
-        me.arrived.store(epoch, std::memory_order_release);
-        me.arrived.notify_one();
-        waitFor(me.released, epoch);
-    } else if (serial != nullptr && *serial) {
-        // The root has seen every arrival: the whole crew is inside
-        // the barrier and the serial section owns the world.
-        (*serial)();
-    }
-
-    // Scatter: release our wakeup-tree children; each forwards the
-    // epoch downward, forming a release chain that publishes the
-    // serial section's writes to every member.
-    const unsigned first_wake = member * wakeArity + 1;
-    for (unsigned c = first_wake;
-         c < first_wake + wakeArity && c < members_; ++c) {
-        nodes_[c].released.store(epoch, std::memory_order_release);
-        nodes_[c].released.notify_one();
-    }
-}
-
-void
-CentralBarrier::Completion::operator()() noexcept
+PhaseBarrier::Completion::operator()() noexcept
 {
     const SerialFn* fn = self->serial_;
     self->serial_ = nullptr;
@@ -151,43 +54,14 @@ CentralBarrier::Completion::operator()() noexcept
         (*fn)();
 }
 
-CentralBarrier::CentralBarrier(unsigned members)
-    : barrier_(static_cast<std::ptrdiff_t>(std::max(1u, members)),
-               Completion{this})
-{
-}
-
 void
-CentralBarrier::sync(unsigned member, const SerialFn* serial)
+PhaseBarrier::arriveAndWait(unsigned member, const SerialFn* serial)
 {
     // Member 0 stores before arriving; the completion step follows
     // every arrival, so the store is visible there.
     if (member == 0)
         serial_ = serial;
     barrier_.arrive_and_wait();
-}
-
-std::unique_ptr<PhaseBarrier>
-makePhaseBarrier(EngineBarrier kind, unsigned members)
-{
-    if (kind == EngineBarrier::central)
-        return std::make_unique<CentralBarrier>(members);
-    return std::make_unique<TreeBarrier>(members);
-}
-
-void
-WorkerCrew::workerLoop(unsigned member)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        generation_.wait(seen, std::memory_order_acquire);
-        seen = generation_.load(std::memory_order_acquire);
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        (*phase_)(member);
-        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            remaining_.notify_all();
-    }
 }
 
 DeadlineWatchdog::~DeadlineWatchdog()

@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared worker-thread machinery: a one-shot indexed pool for
- * embarrassingly parallel index spaces (the sweep orchestrator) and a
- * persistent phase crew for the cycle engine.
+ * Shared worker-thread machinery: fork-join SPMD sessions for the
+ * cycle engine and the serve daemon, an indexed pool built on them for
+ * embarrassingly parallel index spaces (the sweep orchestrator), and
+ * the engine's phase barrier.
  *
- * Both live below src/sim and src/sweep so the simulation engine and
+ * It lives below src/sim and src/sweep so the simulation engine and
  * the sweep layer draw workers from one abstraction — `--threads N`
  * on a sweep splits into `--engine-threads` per engine times
  * N / engine-threads sweep workers, all built on this file.
@@ -21,15 +22,27 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
-
-#include "common/types.hh"
 
 namespace dalorex
 {
+
+/**
+ * Fork-join SPMD: run fn(member) once for every member in
+ * [0, members) and return after the last one finishes. The calling
+ * thread is member 0; members 1..n-1 each get a fresh thread, joined
+ * before return. members <= 1 runs fn(0) inline and spawns nothing.
+ * An exception escaping fn in a multi-member session ends the program:
+ * the other members could not finish a lockstep loop without it.
+ *
+ * Both long-running owners call it exactly once per session: the
+ * cycle engine (one member per shard, looping through the cycle in
+ * lockstep on a PhaseBarrier) and the serve daemon (one member per
+ * worker, looping on the scheduler queue).
+ */
+void runSpmd(unsigned members,
+             const std::function<void(unsigned)>& fn);
 
 /**
  * Invoke `job(i)` for every i in [0, n) on up to `threads` workers.
@@ -46,53 +59,18 @@ void runIndexed(std::size_t n, unsigned threads,
 unsigned defaultWorkerThreads();
 
 /**
- * A persistent crew of workers executing one phase at a time.
- *
- * The owner repeatedly calls runPhase(fn); every member — the calling
- * thread is member 0 — runs fn(memberIndex) exactly once, and
- * runPhase returns after the last member finishes. Workers block on
- * C++20 atomic waits between phases, so an idle crew costs nothing
- * but memory.
- *
- * The cycle engine uses one crew per Machine::run: each member owns
- * one tile/router shard, and the per-cycle compute phases run as crew
- * phases with the serial commit in between on the caller.
- */
-class WorkerCrew
-{
-  public:
-    /** A crew of `members` (1 = no threads; runPhase runs inline). */
-    explicit WorkerCrew(unsigned members);
-    ~WorkerCrew();
-
-    WorkerCrew(const WorkerCrew&) = delete;
-    WorkerCrew& operator=(const WorkerCrew&) = delete;
-
-    unsigned members() const { return members_; }
-
-    /** Run fn(member) on every member; blocks until all finish. */
-    void runPhase(const std::function<void(unsigned)>& fn);
-
-  private:
-    void workerLoop(unsigned member);
-
-    unsigned members_ = 1;
-    std::vector<std::thread> threads_;
-    const std::function<void(unsigned)>* phase_ = nullptr;
-    std::atomic<std::uint64_t> generation_{0};
-    std::atomic<unsigned> remaining_{0};
-    std::atomic<bool> stop_{false};
-};
-
-/**
  * A reusable rendezvous for a fixed crew of members running the same
- * phase sequence in lockstep (the cycle engine's SPMD loop).
+ * phase sequence in lockstep (the cycle engine's SPMD loop), built on
+ * std::barrier.
  *
  * sync(member) blocks until every member has arrived, then releases
  * them all; sync(member, serial) additionally runs `*serial` exactly
  * once between the last arrival and the first release — the engine's
  * per-cycle serial section (delta merge, idle/termination decision)
  * rides inside the barrier instead of costing a second rendezvous.
+ * It runs as the std::barrier completion step, on whichever member
+ * arrived last. A one-member barrier never touches std::barrier:
+ * sync is an inline call of `*serial`.
  *
  * Contract: all members pass the same `serial` pointer at a given
  * sync point (the call sites are lockstep by construction). Memory
@@ -105,84 +83,37 @@ class PhaseBarrier
   public:
     using SerialFn = std::function<void()>;
 
-    virtual ~PhaseBarrier() = default;
+    explicit PhaseBarrier(unsigned members);
 
     /** Arrive and wait; the completing member runs `*serial` (when
      *  non-null and non-empty) before anyone is released. */
-    virtual void sync(unsigned member, const SerialFn* serial) = 0;
-
-    void sync(unsigned member) { sync(member, nullptr); }
-};
-
-/**
- * MCS-style sense-reversing tree barrier: members gather up a 4-ary
- * arrival tree and are released down a binary wakeup tree, every
- * member spinning only on its own cache-line-aligned node (then
- * parking on a C++20 atomic wait). The serial section runs on the
- * root — member 0, the engine's calling thread — so per-cycle serial
- * work stays on one deterministic thread. Epoch counters replace
- * boolean sense flags: a monotonically increasing generation needs no
- * reset phase and cannot alias across back-to-back syncs.
- */
-class TreeBarrier final : public PhaseBarrier
-{
-  public:
-    explicit TreeBarrier(unsigned members);
-
-    void sync(unsigned member, const SerialFn* serial) override;
-
-    static constexpr unsigned arriveArity = 4;
-    static constexpr unsigned wakeArity = 2;
-
-  private:
-    /** One member's flags, alone on their cache line so arrival and
-     *  release traffic never false-shares between members. */
-    struct alignas(64) Node
+    void
+    sync(unsigned member, const SerialFn* serial = nullptr)
     {
-        std::atomic<std::uint64_t> arrived{0};
-        std::atomic<std::uint64_t> released{0};
-        /** Member-local sync generation (only its owner touches it). */
-        std::uint64_t epoch = 0;
-    };
-
-    /** Spin briefly on `flag >= epoch`, then park on an atomic wait. */
-    static void waitFor(std::atomic<std::uint64_t>& flag,
-                        std::uint64_t epoch);
-
-    unsigned members_;
-    std::vector<Node> nodes_;
-};
-
-/**
- * Centralized reference barrier on std::barrier. Exists as the
- * byte-identical baseline the tree barrier is benchmarked and
- * determinism-tested against; the serial section runs as the
- * std::barrier completion step (on an unspecified member's thread).
- */
-class CentralBarrier final : public PhaseBarrier
-{
-  public:
-    explicit CentralBarrier(unsigned members);
-
-    void sync(unsigned member, const SerialFn* serial) override;
+        if (members_ == 1) {
+            if (serial != nullptr && *serial)
+                (*serial)();
+            return;
+        }
+        arriveAndWait(member, serial);
+    }
 
   private:
     struct Completion
     {
-        CentralBarrier* self;
+        PhaseBarrier* self;
         void operator()() noexcept;
     };
 
+    void arriveAndWait(unsigned member, const SerialFn* serial);
+
+    unsigned members_;
     /** The current sync point's serial section; member 0 stores it
      *  before arriving, so its write happens-before the completion
      *  step (which follows every arrival). */
     const SerialFn* serial_ = nullptr;
     std::barrier<Completion> barrier_;
 };
-
-/** Build the configured barrier flavor for `members` members. */
-std::unique_ptr<PhaseBarrier> makePhaseBarrier(EngineBarrier kind,
-                                               unsigned members);
 
 /**
  * A monotonic-clock deadline watchdog: arm() registers an atomic flag

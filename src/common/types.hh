@@ -61,26 +61,6 @@ toString(EngineScan scan)
 }
 
 /**
- * Cycle-loop barrier implementation — a pure simulator execution knob
- * (never changes results). `tree` is the cache-friendly MCS-style
- * sense-reversing tree barrier (arrival fan-in + wakeup fan-out over
- * per-member cache lines); `central` keeps the centralized
- * std::barrier as a byte-identical reference. Stats and energy are
- * identical for both; only the engine's wall clock differs.
- */
-enum class EngineBarrier : std::uint8_t
-{
-    tree,
-    central,
-};
-
-constexpr const char*
-toString(EngineBarrier barrier)
-{
-    return barrier == EngineBarrier::tree ? "tree" : "central";
-}
-
-/**
  * Why a Machine::run ended. Anything but `completed` means the run
  * unwound early through the cooperative RunControl path — the crew
  * exits at a cycle boundary with partial (but internally consistent)

@@ -90,31 +90,8 @@ Network::setNumShards(unsigned shards)
         shards_[s].pushesTo.resize(n);
         shards_[s].wakesTo.resize(n);
     }
-    // Resharding discards the previous worklists; rebuild membership
+    // A new split discards the previous worklists; rebuild membership
     // from the occupancy ground truth.
-    for (TileId r = 0; r < routers_.size(); ++r) {
-        if (routers_[r].occupancy != 0)
-            activateRouter(r);
-    }
-}
-
-void
-Network::reshard(const std::vector<TileId>& bounds)
-{
-    panic_if(bounds.size() != shards_.size() + 1,
-             "reshard must keep the shard count (got ",
-             bounds.size() - 1, " ranges for ", shards_.size(),
-             " shards)");
-    for (unsigned s = 0; s < shards_.size(); ++s) {
-        Shard& shard = shards_[s];
-        panic_if(!shard.pops.empty(), "reshard with staged effects");
-        shard.beginRouter = bounds[s];
-        shard.endRouter = bounds[s + 1];
-        for (TileId r = shard.beginRouter; r < shard.endRouter; ++r)
-            routerShard_[r] = s;
-        shard.activeMask.assign(
-            (shard.endRouter - shard.beginRouter + 63) / 64, 0);
-    }
     for (TileId r = 0; r < routers_.size(); ++r) {
         if (routers_[r].occupancy != 0)
             activateRouter(r);

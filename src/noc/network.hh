@@ -184,16 +184,6 @@ class Network
     /** Serial commit: commitShard for every shard on this thread. */
     void stepCommit(Cycle now);
 
-    /**
-     * Move the shard boundaries to `bounds` (bounds[s], bounds[s+1])
-     * without disturbing the per-shard whole-run accumulators (their
-     * sums are partition-invariant). Serial only, between cycles
-     * (staging buffers empty); worklists are rebuilt from the
-     * occupancy ground truth. The shard *count* never changes — the
-     * engine's rebalancer only re-splits ranges.
-     */
-    void reshard(const std::vector<TileId>& bounds);
-
     /** True when no message is buffered anywhere in the network.
      *  Valid between cycles (after stepCommit / outside phases). */
     bool

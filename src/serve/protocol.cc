@@ -157,8 +157,7 @@ constexpr const char* knownFields[] = {
     "width",          "height",       "topology",
     "ruche_factor",   "policy",       "distribution",
     "barrier",        "invoke_overhead", "max_cycles",
-    "engine_threads", "engine_scan",  "engine_barrier",
-    "engine_rebalance", "params",
+    "engine_threads", "engine_scan",  "params",
     "seed",           "validate",     "scratchpad_bytes",
     "deadline_ms",
 };
@@ -300,6 +299,9 @@ parseRequestLine(const std::string& line)
     if (!u32Field(object, "ruche_factor", 0, 64, 0,
                   o.machine.rucheFactor, err))
         return fail(std::move(parsed), err);
+    if (o.machine.rucheFactor == 1)
+        return fail(std::move(parsed),
+                    "ruche_factor must be 0 or in [2, 64]");
 
     std::string policy;
     if (!stringField(object, "policy", "", policy, err))
@@ -347,20 +349,6 @@ parseRequestLine(const std::string& line)
         !cli::parseEngineScan(engine_scan, o.machine.engineScan))
         return fail(std::move(parsed),
                     "engine_scan must be full|active");
-
-    std::string engine_barrier;
-    if (!stringField(object, "engine_barrier", "", engine_barrier,
-                     err))
-        return fail(std::move(parsed), err);
-    if (!engine_barrier.empty() &&
-        !cli::parseEngineBarrier(engine_barrier,
-                                 o.machine.engineBarrier))
-        return fail(std::move(parsed),
-                    "engine_barrier must be tree|central");
-
-    if (!boolField(object, "engine_rebalance", false,
-                   o.machine.engineRebalance, err))
-        return fail(std::move(parsed), err);
 
     std::uint64_t scratchpad = 0;
     if (!u64Field(object, "scratchpad_bytes", 0,
@@ -421,10 +409,6 @@ renderRunRequest(const cli::Options& options, const std::string& id,
         << std::max(1u, o.machine.engineThreads)
         << ",\"engine_scan\":"
         << jsonQuote(toString(o.machine.engineScan))
-        << ",\"engine_barrier\":"
-        << jsonQuote(toString(o.machine.engineBarrier))
-        << ",\"engine_rebalance\":"
-        << (o.machine.engineRebalance ? "true" : "false")
         << ",\"scratchpad_bytes\":"
         << o.machine.scratchpadProvisionBytes;
     if (!o.params.empty()) {
@@ -614,7 +598,6 @@ parseReportPayload(const std::string& payload,
                     s.activeTileCyclesSaved);
         (void)u64At(*engine, "active_router_cycles_saved",
                     s.activeRouterCyclesSaved);
-        (void)u64At(*engine, "rebalances", s.engineRebalances);
         err.clear(); // engine counters are simulator-only; optional
     }
 

@@ -13,8 +13,8 @@
  * does not bank credit to starve others with later.
  *
  * The queue is the producer/consumer seam of the daemon: connection
- * reader threads push, WorkerCrew members block in pop(). close()
- * wakes every popper; jobs already queued still drain (pop keeps
+ * reader threads push, the server's worker threads block in pop().
+ * close() wakes every popper; jobs already queued still drain (pop keeps
  * returning them) so a graceful shutdown finishes accepted work.
  */
 

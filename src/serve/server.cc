@@ -342,8 +342,7 @@ Server::rejectOversized(std::uint64_t connection,
 void
 Server::serve()
 {
-    WorkerCrew crew(workers_);
-    crew.runPhase([this](unsigned member) { workerLoop(member); });
+    runSpmd(workers_, [this](unsigned member) { workerLoop(member); });
 }
 
 void

@@ -2,7 +2,7 @@
  * @file
  * The `dalorex serve` daemon core, transport-agnostic.
  *
- * A Server owns the FairScheduler and one persistent WorkerCrew;
+ * A Server owns the FairScheduler and a crew of worker threads;
  * transports (stdin, Unix socket — see transport.hh) own the bytes.
  * A transport registers each client as a connection with a write sink,
  * feeds request lines to handleLine(), and the server pushes response
@@ -11,11 +11,12 @@
  * `result`. Per-connection write locks keep concurrent lines whole
  * (interleaved but never torn).
  *
- * serve() blocks running the crew until shutdown is requested (a
- * `shutdown` request, transport EOF, or a signal) and every already-
- * accepted job has drained. Hot state stays resident across requests:
- * datasets live in the process-wide cache, and each crew member keeps
- * an EngineArenas pool so back-to-back runs reuse engine allocations.
+ * serve() runs the crew as one runSpmd session, blocking until
+ * shutdown is requested (a `shutdown` request, transport EOF, or a
+ * signal) and every already-accepted job has drained. Hot state stays
+ * resident across requests: datasets live in the process-wide cache,
+ * and each crew member keeps an EngineArenas pool so back-to-back runs
+ * reuse engine allocations.
  *
  * Keeping the core free of fds/sockets is what makes the protocol
  * robustness tests cheap: serve_test drives handleLine() directly and

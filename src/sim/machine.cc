@@ -302,101 +302,6 @@ Machine::buildShards(unsigned shards)
 }
 
 void
-Machine::reshard(const std::vector<TileId>& bounds)
-{
-    for (unsigned s = 0; s < shards_.size(); ++s) {
-        ShardCtx& shard = shards_[s];
-        shard.beginTile = bounds[s];
-        shard.endTile = bounds[s + 1];
-        for (TileId t = shard.beginTile; t < shard.endTile; ++t)
-            tileShard_[t] = s;
-        shard.activeMask.assign(
-            (shard.endTile - shard.beginTile + 63) / 64, 0);
-    }
-    // Rebuild the worklists from the quiet-state ground truth (the
-    // old masks' deferred-removal stragglers are dropped; membership
-    // of every non-quiet tile is what the invariant requires).
-    for (TileId t = 0; t < tiles_.size(); ++t) {
-        if (!tiles_[t].quiet(now_))
-            activateTile(t);
-    }
-}
-
-void
-Machine::maybeRebalance()
-{
-    // Measurement window and trigger thresholds. A window is ~1k
-    // stepped cycles (fast-forward compresses idle stretches, so
-    // windows track engine work, not simulated time); rebalancing
-    // fires only after `streakWindows` consecutive windows whose
-    // busiest shard carries more than 3/2 of the mean active load.
-    constexpr Cycle windowCycles = 1024;
-    constexpr unsigned streakWindows = 2;
-    constexpr std::uint64_t activeWeight = 7;
-
-    const auto n = static_cast<unsigned>(shards_.size());
-    if (n < 2)
-        return;
-    if (++rebalanceTick_ < windowCycles)
-        return;
-    rebalanceTick_ = 0;
-
-    const auto tiles = static_cast<TileId>(tiles_.size());
-    std::uint64_t total_active = 0;
-    std::uint64_t max_active = 0;
-    for (const ShardCtx& shard : shards_) {
-        std::uint64_t active = 0;
-        for (TileId t = shard.beginTile; t < shard.endTile; ++t)
-            active += tiles_[t].quiet(now_) ? 0 : 1;
-        total_active += active;
-        max_active = std::max(max_active, active);
-    }
-    // Balanced (or idle) window: max <= 1.5x mean resets the streak.
-    if (total_active == 0 ||
-        max_active * n * 2 <= total_active * 3) {
-        imbalanceStreak_ = 0;
-        return;
-    }
-    if (++imbalanceStreak_ < streakWindows)
-        return;
-    imbalanceStreak_ = 0;
-
-    // Re-split by weight: an active tile costs `activeWeight` extra
-    // over the baseline 1 every tile pays (quiet tiles still get
-    // scanned into worklists and carry commit traffic), so the new
-    // boundaries equalize expected per-shard work, each shard keeping
-    // at least one tile.
-    rebalancePrefix_.resize(tiles + 1);
-    rebalancePrefix_[0] = 0;
-    for (TileId t = 0; t < tiles; ++t) {
-        rebalancePrefix_[t + 1] =
-            rebalancePrefix_[t] + 1 +
-            (tiles_[t].quiet(now_) ? 0 : activeWeight);
-    }
-    const std::uint64_t total_weight = rebalancePrefix_[tiles];
-
-    std::vector<TileId> bounds(n + 1, 0);
-    bounds[n] = tiles;
-    TileId cursor = 0;
-    bool changed = false;
-    for (unsigned s = 1; s < n; ++s) {
-        const std::uint64_t target = total_weight * s / n;
-        while (cursor < tiles && rebalancePrefix_[cursor] < target)
-            ++cursor;
-        cursor = std::max<TileId>(cursor, bounds[s - 1] + 1);
-        cursor = std::min<TileId>(cursor, tiles - (n - s));
-        bounds[s] = cursor;
-        changed |= bounds[s] != shards_[s].beginTile;
-    }
-    if (!changed)
-        return;
-
-    reshard(bounds);
-    network_->reshard(bounds);
-    ++stats_.engineRebalances;
-}
-
-void
 Machine::activateTile(TileId t)
 {
     if (shards_.empty())
@@ -724,17 +629,14 @@ Machine::run(App& app, const RunControl* control)
     stats_.epochs = 1;
     lastProgress_ = 0;
 
-    // One crew member per shard; with one shard the phases run inline
-    // on this thread and the crew spawns nothing. The whole run is a
-    // single crew session: every member executes the SPMD cycle loop
-    // below, synchronized by the configured phase barrier, and the
+    // One SPMD member per shard; with one shard the loop runs inline
+    // on this thread and spawns nothing. Every member executes the
+    // cycle loop below, synchronized by the phase barrier, and the
     // per-cycle serial section rides inside the tail barrier's
     // completion step instead of costing its own rendezvous. With NoC
     // traffic a cycle is three barrier syncs (compute | commit |
     // tiles+serial); a quiescent cycle is one.
-    WorkerCrew crew(num_shards);
-    const std::unique_ptr<PhaseBarrier> barrier =
-        makePhaseBarrier(config_.engineBarrier, num_shards);
+    PhaseBarrier barrier(num_shards);
 
     // Cycle-loop control block. Written only by the serial section;
     // the barrier's release chain publishes it to every member.
@@ -781,7 +683,7 @@ Machine::run(App& app, const RunControl* control)
             // a tripped cycle watchdog ends the run at this cycle
             // boundary with a status instead of killing the process.
             // Every worker is parked in the tail barrier here, so the
-            // crew exits the SPMD loop together and the partial stats
+            // members exit the SPMD loop together and the partial stats
             // are exactly the state after `now_` committed cycles.
             if (control != nullptr && control->cancel != nullptr &&
                 control->cancel->load(std::memory_order_relaxed)) {
@@ -839,9 +741,6 @@ Machine::run(App& app, const RunControl* control)
             }
         }
 
-        if (config_.engineRebalance)
-            maybeRebalance();
-
         ++now_;
         ++stats_.engineSteppedCycles;
         ctl.stepNoc = !network_->quiescent();
@@ -855,16 +754,16 @@ Machine::run(App& app, const RunControl* control)
     if (ctl.stepNoc)
         ++stats_.nocSteppedCycles;
 
-    crew.runPhase([&](unsigned member) {
+    runSpmd(num_shards, [&](unsigned member) {
         for (;;) {
             if (ctl.stepNoc) {
                 network_->stepCompute(member, now_);
-                barrier->sync(member);
+                barrier.sync(member);
                 network_->commitShard(member, now_);
-                barrier->sync(member);
+                barrier.sync(member);
             }
             tilePhase(member, now_);
-            barrier->sync(member, &serial_tail);
+            barrier.sync(member, &serial_tail);
             if (ctl.done)
                 break;
         }

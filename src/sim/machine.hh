@@ -96,25 +96,6 @@ struct MachineConfig
      * counters and the simulator's wall clock differ.
      */
     EngineScan engineScan = EngineScan::active;
-    /**
-     * Cycle-loop barrier implementation (simulator only; never
-     * changes results). `tree` (default) synchronizes the shard
-     * workers through the MCS-style sense-reversing tree barrier;
-     * `central` keeps the centralized std::barrier as a reference.
-     * determinism_test asserts byte-identical reports for both.
-     */
-    EngineBarrier engineBarrier = EngineBarrier::tree;
-    /**
-     * Occupancy-driven shard rebalancing (simulator only; never
-     * changes results — architectural stats are partition-invariant
-     * by the sharded-engine contract). When on, the serial section
-     * periodically measures each shard's active-tile population and,
-     * on sustained imbalance, re-splits the contiguous tile ranges so
-     * workers carry similar active sets. Decisions read only
-     * deterministic engine counters, so a given (scenario,
-     * engineThreads) pair always rebalances identically.
-     */
-    bool engineRebalance = false;
     /** End the run with RunStatus::deadlock if this many cycles pass
      *  without progress (a kernel bug; used to panic the process). */
     Cycle watchdogCycles = 1'000'000;
@@ -194,9 +175,6 @@ struct RunStats
     std::uint64_t activeTileCyclesSaved = 0;
     /** Same for router visits in the NoC compute phases. */
     std::uint64_t activeRouterCyclesSaved = 0;
-    /** Shard-boundary re-splits performed by the rebalancer (0 when
-     *  engineRebalance is off or the load stayed balanced). */
-    std::uint64_t engineRebalances = 0;
     /** Fraction of the full tile scan actually performed in [0, 1]. */
     double tileScanOccupancy() const;
     /** Fraction of the full router scan actually performed. */
@@ -490,20 +468,6 @@ class Machine
      *  refresh its idle/fast-forward aggregates. Walks the full tile
      *  range or the active worklist per MachineConfig::engineScan. */
     void tilePhase(unsigned shard_index, Cycle now);
-    /**
-     * Rebalancer (serial section only, engineRebalance on): every
-     * window of stepped cycles, measure each shard's active-tile
-     * population from the tile ground truth; after sustained
-     * imbalance, re-split the contiguous tile ranges by active-tile
-     * weight. Inputs are deterministic engine state, so a (scenario,
-     * engineThreads) pair always rebalances at the same cycles to
-     * the same boundaries.
-     */
-    void maybeRebalance();
-    /** Move the shard boundaries to `bounds` (same shard count),
-     *  preserving whole-run accumulators and rebuilding the tile
-     *  worklists from the quiet-state ground truth. */
-    void reshard(const std::vector<TileId>& bounds);
     /** Global idle check (exact outstanding-work counters). */
     bool
     allIdle() const
@@ -537,12 +501,6 @@ class Machine
     std::uint64_t pendingIq_ = 0;
     std::uint64_t pendingCq_ = 0;
     Cycle lastProgress_ = 0;
-
-    // Rebalancer state (serial section only).
-    Cycle rebalanceTick_ = 0;
-    unsigned imbalanceStreak_ = 0;
-    /** Scratch prefix-weight buffer reused across windows. */
-    std::vector<std::uint64_t> rebalancePrefix_;
 
     RunStats stats_;
 };

@@ -182,9 +182,6 @@ expand(const Plan& plan)
                       o.machine.engineThreads =
                           std::min(threads, grid.tiles());
                       o.machine.engineScan = plan.engineScan;
-                      o.machine.engineBarrier = plan.engineBarrier;
-                      o.machine.engineRebalance =
-                          plan.engineRebalance;
                       o.machine.invokeOverhead = plan.invokeOverhead;
                       o.machine.scratchpadProvisionBytes =
                           plan.scratchpadProvisionBytes;

@@ -91,14 +91,6 @@ struct Plan
      *  only; results are byte-identical for both — the `full` oracle
      *  exists for determinism checks and scan-cost benchmarks). */
     EngineScan engineScan = EngineScan::active;
-    /** Phase-barrier implementation applied to every point (simulator
-     *  only; results are byte-identical for both — the `central`
-     *  std::barrier oracle exists for determinism checks and barrier
-     *  cost benchmarks). */
-    EngineBarrier engineBarrier = EngineBarrier::tree;
-    /** Occupancy-driven shard rebalancing applied to every point
-     *  (simulator only; byte-identical results either way). */
-    bool engineRebalance = false;
     /** Ruche hop distance applied to torus-ruche points. */
     std::uint32_t rucheFactor = 2;
     /** Extra cycles per task invocation (ablation knob). */

@@ -113,7 +113,7 @@ parseSweepArgs(int argc, const char* const* argv)
             "--distribution", "--barrier",  "--baseline",
             "--ruche-factor", "--invoke-overhead", "--seed",
             "--pagerank-iters", "--param",  "--engine-threads",
-            "--engine-scan", "--engine-barrier", "--threads",
+            "--engine-scan", "--threads",
             "--csv", "--jsonl", "--via",
             "--journal", "--resume", "--retries",
             "--retry-backoff-ms", "--row-deadline-ms",
@@ -277,12 +277,6 @@ parseSweepArgs(int argc, const char* const* argv)
             if (!cli::parseEngineScan(value, o.plan.engineScan))
                 return fail("--engine-scan must be full|active, got " +
                             value);
-        } else if (flag == "--engine-barrier") {
-            if (!cli::parseEngineBarrier(value, o.plan.engineBarrier))
-                return fail("--engine-barrier must be tree|central, "
-                            "got " + value);
-        } else if (flag == "--engine-rebalance") {
-            o.plan.engineRebalance = true;
         } else if (flag == "--threads") {
             std::uint32_t threads = 0;
             if (!cli::parseU32(value, 1, 256, threads))
@@ -397,14 +391,6 @@ sweepUsageText()
         "  --engine-scan M       full|active scan mode for every"
         " point (default\n"
         "                        active; results identical for both)\n"
-        "  --engine-barrier B    tree|central phase barrier for every"
-        " point\n"
-        "                        (default tree; results identical for"
-        " both)\n"
-        "  --engine-rebalance    occupancy-driven shard rebalancing"
-        " for every\n"
-        "                        point (default off; results"
-        " identical)\n"
         "\n"
         "scenario knobs:\n"
         "  --baseline WxH        speedup baseline shape"

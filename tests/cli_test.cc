@@ -107,9 +107,14 @@ TEST(CliParse, RucheFactorDefaultsAndClears)
 
 TEST(CliParse, RejectsUnknownFlag)
 {
-    const ParseResult r = parse({"--frobnicate"});
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("--frobnicate"), std::string::npos);
+    for (const char* flag :
+         {"--frobnicate", "--engine-barrier", "--engine-rebalance"}) {
+        const ParseResult r = parse({flag});
+        EXPECT_FALSE(r.ok) << flag;
+        EXPECT_NE(r.error.find("unknown option: " + std::string(flag)),
+                  std::string::npos)
+            << r.error;
+    }
 }
 
 TEST(CliParse, RejectsUnknownEnumValues)
@@ -167,31 +172,6 @@ TEST(CliParse, EngineScanFlag)
 
     EXPECT_FALSE(parse({"--engine-scan"}).ok);
     EXPECT_FALSE(parse({"--engine-scan", "lazy"}).ok);
-}
-
-TEST(CliParse, EngineBarrierFlag)
-{
-    EXPECT_EQ(parse({}).options.machine.engineBarrier,
-              EngineBarrier::tree); // the scalable one is the default
-    const ParseResult central = parse({"--engine-barrier", "central"});
-    ASSERT_TRUE(central.ok) << central.error;
-    EXPECT_EQ(central.options.machine.engineBarrier,
-              EngineBarrier::central);
-    const ParseResult tree = parse({"--engine-barrier", "TREE"});
-    ASSERT_TRUE(tree.ok) << tree.error;
-    EXPECT_EQ(tree.options.machine.engineBarrier,
-              EngineBarrier::tree);
-
-    EXPECT_FALSE(parse({"--engine-barrier"}).ok);
-    EXPECT_FALSE(parse({"--engine-barrier", "mcs"}).ok);
-}
-
-TEST(CliParse, EngineRebalanceFlag)
-{
-    EXPECT_FALSE(parse({}).options.machine.engineRebalance);
-    const ParseResult r = parse({"--engine-rebalance"});
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(r.options.machine.engineRebalance);
 }
 
 TEST(CliParse, EngineThreadsClampToTilesWithNote)
@@ -422,24 +402,6 @@ TEST(CliMain, EngineThreadsClampNoteOnStderrAndClampedJson)
     // one-line stderr advisory; the report shows the effective value.
     EXPECT_EQ(jsonUint(out, "engine_threads"), 4u);
     EXPECT_NE(err.find("--engine-threads"), std::string::npos);
-}
-
-TEST(CliMain, EngineBarrierAndRebalanceSurfaceInJson)
-{
-    std::string out;
-    std::string err;
-    const int code =
-        runCli({"--kernel", "bfs", "--width", "4", "--height", "4",
-                "--scale", "8", "--engine-threads", "4",
-                "--engine-barrier", "central", "--engine-rebalance",
-                "--json"},
-               out, err);
-    EXPECT_EQ(code, 0) << err;
-    EXPECT_NE(out.find("\"engine_barrier\":\"central\""),
-              std::string::npos);
-    EXPECT_NE(out.find("\"engine_rebalance\":true"),
-              std::string::npos);
-    EXPECT_NE(out.find("\"rebalances\":"), std::string::npos);
 }
 
 TEST(CliMain, TextReportMentionsKernelAndCycles)

@@ -134,9 +134,7 @@ namespace
 std::string
 scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
              EngineScan scan = EngineScan::active,
-             RunStats* stats_out = nullptr,
-             EngineBarrier barrier = EngineBarrier::tree,
-             bool rebalance = false)
+             RunStats* stats_out = nullptr)
 {
     cli::Options options;
     options.kernel = kernel;
@@ -146,17 +144,12 @@ scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
     options.machine.height = 4;
     options.machine.engineThreads = engine_threads;
     options.machine.engineScan = scan;
-    options.machine.engineBarrier = barrier;
-    options.machine.engineRebalance = rebalance;
     cli::RunOutcome outcome = cli::runScenario(options);
     EXPECT_TRUE(outcome.ok) << outcome.error;
     if (stats_out != nullptr)
         *stats_out = outcome.report.stats;
     outcome.report.options.machine.engineThreads = 0;
     outcome.report.options.machine.engineScan = EngineScan::full;
-    outcome.report.options.machine.engineBarrier =
-        EngineBarrier::tree;
-    outcome.report.options.machine.engineRebalance = false;
     RunStats& stats = outcome.report.stats;
     stats.engineSteppedCycles = 0;
     stats.nocSteppedCycles = 0;
@@ -164,7 +157,6 @@ scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
     stats.routerScans = 0;
     stats.activeTileCyclesSaved = 0;
     stats.activeRouterCyclesSaved = 0;
-    stats.engineRebalances = 0;
     return cli::renderJson(outcome.report);
 }
 
@@ -239,67 +231,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<const KernelInfo*>& info) {
         return info.param->display;
     });
-
-/**
- * The phase-barrier contract: the tree barrier and the std::barrier
- * oracle synchronize the same phases, so stats and energy JSON are
- * byte-identical between them, for every registered kernel, at both
- * the inline single-shard path and a contended multi-shard split.
- */
-class EngineBarrierDeterminism
-    : public ::testing::TestWithParam<const KernelInfo*>
-{
-};
-
-TEST_P(EngineBarrierDeterminism, TreeAndCentralByteIdentical)
-{
-    RunStats tree_stats;
-    const std::string tree =
-        scenarioJson(GetParam(), 4, EngineScan::active, &tree_stats,
-                     EngineBarrier::tree);
-    ASSERT_GT(tree_stats.cycles, 0u);
-    EXPECT_EQ(scenarioJson(GetParam(), 4, EngineScan::active, nullptr,
-                           EngineBarrier::central),
-              tree);
-    EXPECT_EQ(scenarioJson(GetParam(), 1, EngineScan::active, nullptr,
-                           EngineBarrier::central),
-              tree);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllKernels, EngineBarrierDeterminism,
-    ::testing::ValuesIn(allKernels()),
-    [](const ::testing::TestParamInfo<const KernelInfo*>& info) {
-        return info.param->display;
-    });
-
-/**
- * The rebalancer moves shard boundaries, never results: stats and
- * energy JSON with --engine-rebalance are byte-identical to the
- * static partition, and identical again across thread counts with
- * rebalancing on (the windowed occupancy decision reads deterministic
- * counters only).
- */
-TEST(EngineRebalanceDeterminism, OnAndOffByteIdentical)
-{
-    for (const KernelInfo* kernel :
-         {kernelOrDie("pagerank"), kernelOrDie("bfs"),
-          kernelOrDie("histogram")}) {
-        RunStats static_stats;
-        const std::string static_json = scenarioJson(
-            kernel, 4, EngineScan::active, &static_stats,
-            EngineBarrier::tree, false);
-        ASSERT_GT(static_stats.cycles, 0u);
-        EXPECT_EQ(scenarioJson(kernel, 4, EngineScan::active, nullptr,
-                               EngineBarrier::tree, true),
-                  static_json)
-            << kernel->name;
-        EXPECT_EQ(scenarioJson(kernel, 8, EngineScan::active, nullptr,
-                               EngineBarrier::tree, true),
-                  static_json)
-            << kernel->name;
-    }
-}
 
 /** Run `plan` on `threads` workers and render JSONL. */
 std::string

@@ -1,20 +1,20 @@
 /**
  * @file
  * Stress and contract tests for the worker-thread machinery behind
- * the cycle engine: the TreeBarrier / CentralBarrier phase barriers
- * (threads x iterations matrix, serial-section exactly-once and
- * visibility guarantees) and the WorkerCrew SPMD loop they ride in.
- * The whole file runs under the sanitize-tsan preset in CI, so the
- * acquire/release edges documented in parallel.hh are checked by a
- * race detector, not just by assertion.
+ * the cycle engine: the PhaseBarrier (threads x iterations matrix,
+ * serial-section exactly-once and visibility guarantees) and the
+ * runSpmd fork-join session it rides in. The whole file runs under
+ * the sanitize-tsan preset in CI, so the acquire/release edges
+ * documented in parallel.hh are checked by a race detector, not just
+ * by assertion.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -26,21 +26,6 @@ namespace dalorex
 namespace
 {
 
-/** The two flavors under test, driven through the factory so the
- *  matrix below also covers makePhaseBarrier's dispatch. */
-const EngineBarrier kFlavors[] = {EngineBarrier::tree,
-                                  EngineBarrier::central};
-
-std::string
-flavorName(const ::testing::TestParamInfo<EngineBarrier>& info)
-{
-    return toString(info.param);
-}
-
-class PhaseBarrierTest : public ::testing::TestWithParam<EngineBarrier>
-{
-};
-
 /**
  * The core rendezvous property, stressed across a threads x
  * iterations matrix: per sync no member may pass the barrier while
@@ -49,36 +34,28 @@ class PhaseBarrierTest : public ::testing::TestWithParam<EngineBarrier>
  * round arrived; a barrier that releases early fails the exact-count
  * check, and under tsan any missing ordering edge is a reported race.
  */
-TEST_P(PhaseBarrierTest, ThreadsByIterationsStressMatrix)
+TEST(PhaseBarrier, ThreadsByIterationsStressMatrix)
 {
     for (const unsigned members : {1u, 2u, 3u, 4u, 7u, 16u}) {
         const unsigned iterations = members <= 4 ? 2000u : 500u;
-        const auto barrier = makePhaseBarrier(GetParam(), members);
+        PhaseBarrier barrier(members);
         std::atomic<std::uint64_t> arrivals{0};
         std::atomic<bool> failed{false};
 
-        const auto body = [&](unsigned member) {
+        runSpmd(members, [&](unsigned member) {
             for (unsigned i = 0; i < iterations; ++i) {
                 arrivals.fetch_add(1, std::memory_order_relaxed);
-                barrier->sync(member);
+                barrier.sync(member);
                 // Everyone from round i arrived before the sync, and
                 // the trailing sync keeps round i+1 increments out,
                 // so the count here is exact.
                 if (arrivals.load(std::memory_order_relaxed) !=
                     std::uint64_t(members) * (i + 1))
                     failed.store(true);
-                barrier->sync(member);
+                barrier.sync(member);
             }
-        };
-
-        std::vector<std::thread> threads;
-        for (unsigned m = 1; m < members; ++m)
-            threads.emplace_back(body, m);
-        body(0);
-        for (std::thread& t : threads)
-            t.join();
-        EXPECT_FALSE(failed.load())
-            << toString(GetParam()) << " x " << members << " members";
+        });
+        EXPECT_FALSE(failed.load()) << members << " members";
         EXPECT_EQ(arrivals.load(),
                   std::uint64_t(members) * iterations);
     }
@@ -91,11 +68,11 @@ TEST_P(PhaseBarrierTest, ThreadsByIterationsStressMatrix)
  * sums them (visibility in), and every member checks the published
  * sum (visibility out).
  */
-TEST_P(PhaseBarrierTest, SerialSectionExactlyOnceWithVisibility)
+TEST(PhaseBarrier, SerialSectionExactlyOnceWithVisibility)
 {
     const unsigned members = 8;
     const unsigned iterations = 1000;
-    const auto barrier = makePhaseBarrier(GetParam(), members);
+    PhaseBarrier barrier(members);
     std::vector<std::uint64_t> slots(members, 0);
     std::uint64_t published = 0; // plain: the barrier must order it
     std::atomic<std::uint64_t> serial_runs{0};
@@ -107,122 +84,126 @@ TEST_P(PhaseBarrierTest, SerialSectionExactlyOnceWithVisibility)
             std::accumulate(slots.begin(), slots.end(), 0ull);
     };
 
-    const auto body = [&](unsigned member) {
+    runSpmd(members, [&](unsigned member) {
         for (unsigned i = 1; i <= iterations; ++i) {
             slots[member] = i;
-            barrier->sync(member, &serial);
+            barrier.sync(member, &serial);
             if (published != std::uint64_t(members) * i)
                 failed.store(true);
-            barrier->sync(member); // keep rounds from overlapping
+            barrier.sync(member); // keep rounds from overlapping
         }
-    };
-
-    std::vector<std::thread> threads;
-    for (unsigned m = 1; m < members; ++m)
-        threads.emplace_back(body, m);
-    body(0);
-    for (std::thread& t : threads)
-        t.join();
+    });
     EXPECT_FALSE(failed.load());
     EXPECT_EQ(serial_runs.load(), iterations);
 }
 
 /** members == 1 degenerates to an inline call: no blocking, serial
  *  runs on the caller. */
-TEST_P(PhaseBarrierTest, SingleMemberRunsInline)
+TEST(PhaseBarrier, SingleMemberRunsInline)
 {
-    const auto barrier = makePhaseBarrier(GetParam(), 1);
+    PhaseBarrier barrier(1);
+    const std::thread::id caller = std::this_thread::get_id();
     unsigned runs = 0;
-    const PhaseBarrier::SerialFn serial = [&] { ++runs; };
+    const PhaseBarrier::SerialFn serial = [&] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++runs;
+    };
     for (int i = 0; i < 100; ++i) {
-        barrier->sync(0, &serial);
-        barrier->sync(0);
+        barrier.sync(0, &serial);
+        barrier.sync(0);
     }
     EXPECT_EQ(runs, 100u);
 }
 
 /** A null or empty serial function is a plain rendezvous. */
-TEST_P(PhaseBarrierTest, NullAndEmptySerialAreRendezvousOnly)
+TEST(PhaseBarrier, NullAndEmptySerialAreRendezvousOnly)
 {
-    const auto barrier = makePhaseBarrier(GetParam(), 2);
+    PhaseBarrier barrier(2);
     const PhaseBarrier::SerialFn empty;
-    const auto body = [&](unsigned member) {
+    runSpmd(2, [&](unsigned member) {
         for (int i = 0; i < 500; ++i) {
-            barrier->sync(member, nullptr);
-            barrier->sync(member, &empty);
+            barrier.sync(member, nullptr);
+            barrier.sync(member, &empty);
         }
-    };
-    std::thread peer(body, 1);
-    body(0);
-    peer.join();
-}
-
-INSTANTIATE_TEST_SUITE_P(Flavors, PhaseBarrierTest,
-                         ::testing::ValuesIn(kFlavors), flavorName);
-
-/**
- * The engine's actual shape: one WorkerCrew phase whose members loop
- * over cycles separated by barrier syncs, with the serial section
- * deciding termination — a miniature Machine::run. Checks that the
- * per-cycle totals a parallel run accumulates match the serial
- * closed form, for both barrier flavors.
- */
-TEST(WorkerCrewWithBarrier, SpmdCycleLoopMatchesClosedForm)
-{
-    for (const EngineBarrier flavor : kFlavors) {
-        const unsigned members = 4;
-        const unsigned cycles = 300;
-        WorkerCrew crew(members);
-        const auto barrier = makePhaseBarrier(flavor, members);
-        std::vector<std::uint64_t> partial(members, 0);
-        std::uint64_t total = 0;
-        unsigned cycle = 0;
-        bool done = false;
-
-        const PhaseBarrier::SerialFn tail = [&] {
-            for (std::uint64_t& p : partial) {
-                total += p;
-                p = 0;
-            }
-            done = ++cycle >= cycles;
-        };
-
-        crew.runPhase([&](unsigned member) {
-            for (;;) {
-                partial[member] = member + cycle;
-                barrier->sync(member, &tail);
-                if (done)
-                    break;
-            }
-        });
-
-        // Sum over cycles c of sum over members m of (m + c).
-        const std::uint64_t expected =
-            std::uint64_t(cycles) * (members * (members - 1)) / 2 +
-            std::uint64_t(members) * (cycles * (cycles - 1ull)) / 2;
-        EXPECT_EQ(total, expected) << toString(flavor);
-    }
+    });
 }
 
 /** Back-to-back syncs with no work between them must not alias
- *  epochs (a classic sense-reversal bug class). */
-TEST_P(PhaseBarrierTest, BackToBackSyncsDoNotAlias)
+ *  phases (a classic sense-reversal bug class). */
+TEST(PhaseBarrier, BackToBackSyncsDoNotAlias)
 {
     const unsigned members = 3;
-    const auto barrier = makePhaseBarrier(GetParam(), members);
+    PhaseBarrier barrier(members);
     std::atomic<std::uint64_t> counter{0};
-    const auto body = [&](unsigned member) {
+    runSpmd(members, [&](unsigned member) {
         for (int i = 0; i < 2000; ++i)
-            barrier->sync(member);
+            barrier.sync(member);
         counter.fetch_add(1);
-    };
-    std::vector<std::thread> threads;
-    for (unsigned m = 1; m < members; ++m)
-        threads.emplace_back(body, m);
-    body(0);
-    for (std::thread& t : threads)
-        t.join();
+    });
     EXPECT_EQ(counter.load(), members);
+}
+
+/** Every member runs exactly once with a distinct id in [0, n), and
+ *  the calling thread is member 0; n <= 1 runs member 0 inline. */
+TEST(RunSpmd, DistinctMembersAndCallerIsMemberZero)
+{
+    for (const unsigned members : {0u, 1u, 2u, 5u}) {
+        const std::thread::id caller = std::this_thread::get_id();
+        const unsigned expected = std::max(1u, members);
+        std::vector<std::atomic<unsigned>> runs(expected);
+        std::vector<std::thread::id> ids(expected);
+        runSpmd(members, [&](unsigned member) {
+            ASSERT_LT(member, expected);
+            runs[member].fetch_add(1);
+            ids[member] = std::this_thread::get_id();
+        });
+        for (unsigned m = 0; m < expected; ++m)
+            EXPECT_EQ(runs[m].load(), 1u) << "member " << m;
+        EXPECT_EQ(ids[0], caller) << members << " members";
+        for (unsigned m = 1; m < expected; ++m)
+            EXPECT_NE(ids[m], caller) << "member " << m;
+    }
+}
+
+/**
+ * The engine's actual shape: one runSpmd session whose members loop
+ * over cycles separated by barrier syncs, with the serial section
+ * deciding termination — a miniature Machine::run. Checks that the
+ * per-cycle totals a parallel run accumulates match the serial
+ * closed form.
+ */
+TEST(RunSpmd, CycleLoopWithBarrierMatchesClosedForm)
+{
+    const unsigned members = 4;
+    const unsigned cycles = 300;
+    PhaseBarrier barrier(members);
+    std::vector<std::uint64_t> partial(members, 0);
+    std::uint64_t total = 0;
+    unsigned cycle = 0;
+    bool done = false;
+
+    const PhaseBarrier::SerialFn tail = [&] {
+        for (std::uint64_t& p : partial) {
+            total += p;
+            p = 0;
+        }
+        done = ++cycle >= cycles;
+    };
+
+    runSpmd(members, [&](unsigned member) {
+        for (;;) {
+            partial[member] = member + cycle;
+            barrier.sync(member, &tail);
+            if (done)
+                break;
+        }
+    });
+
+    // Sum over cycles c of sum over members m of (m + c).
+    const std::uint64_t expected =
+        std::uint64_t(cycles) * (members * (members - 1)) / 2 +
+        std::uint64_t(members) * (cycles * (cycles - 1ull)) / 2;
+    EXPECT_EQ(total, expected);
 }
 
 // --- DeadlineWatchdog ------------------------------------------------

@@ -140,15 +140,27 @@ TEST(Protocol, RejectsBadRequestsWithRecoveredId)
     EXPECT_FALSE(p.ok);
     EXPECT_NE(p.error.find("unknown dataset"), std::string::npos);
 
-    p = parseRequestLine(
-        R"({"type":"run","id":"f1","flux_capacitor":1})");
-    EXPECT_FALSE(p.ok);
-    EXPECT_NE(p.error.find("unknown request field"),
-              std::string::npos);
+    for (const char* line :
+         {R"({"type":"run","id":"f1","flux_capacitor":1})",
+          R"({"type":"run","id":"f1","engine_barrier":"central"})",
+          R"({"type":"run","id":"f1","engine_rebalance":true})"}) {
+        p = parseRequestLine(line);
+        EXPECT_FALSE(p.ok) << line;
+        EXPECT_NE(p.error.find("unknown request field"),
+                  std::string::npos)
+            << line;
+    }
 
     p = parseRequestLine(
         R"({"type":"run","id":"p1","priority":101})");
     EXPECT_FALSE(p.ok);
+
+    // Ruche factor 1 is out of range, as on the CLI: 0 means unset.
+    p = parseRequestLine(R"({"type":"run","id":"r1",)"
+                         R"("topology":"torus-ruche","ruche_factor":1})");
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.request.id, "r1");
+    EXPECT_NE(p.error.find("ruche_factor"), std::string::npos);
 
     // Oversized line: refused, id recovered from the prefix.
     std::string big = R"({"type":"run","id":"big1","params":")";

@@ -427,20 +427,6 @@ TEST(Expand, EngineThreadsClampToEachGridsTiles)
     }
 }
 
-TEST(Expand, EngineBarrierAndRebalanceApplyToEveryPoint)
-{
-    Plan plan = miniPlan();
-    plan.engineBarrier = EngineBarrier::central;
-    plan.engineRebalance = true;
-    const ExpandResult result = expand(plan);
-    ASSERT_TRUE(result.ok) << result.error;
-    ASSERT_FALSE(result.points.empty());
-    for (const cli::Options& point : result.points) {
-        EXPECT_EQ(point.machine.engineBarrier, EngineBarrier::central);
-        EXPECT_TRUE(point.machine.engineRebalance);
-    }
-}
-
 TEST(RunAggregate, EngineThreadsAxisChangesNothingButTheColumn)
 {
     // The engine contract one level up: points differing only in
@@ -513,21 +499,18 @@ TEST(SweepParse, EngineThreadsAndParamFlags)
     EXPECT_EQ(runSweep({"--engine-scan", "lazy"}, out, err), 2);
 }
 
-TEST(SweepParse, EngineBarrierAndRebalanceFlags)
+TEST(SweepParse, RejectsUnknownOptions)
 {
-    const std::vector<const char*> args = {
-        "sweep", "--engine-barrier", "central", "--engine-rebalance"};
-    const SweepParseResult parsed =
-        parseSweepArgs(static_cast<int>(args.size()), args.data());
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.options.plan.engineBarrier,
-              EngineBarrier::central);
-    EXPECT_TRUE(parsed.options.plan.engineRebalance);
-
-    std::string out;
-    std::string err;
-    EXPECT_EQ(runSweep({"--engine-barrier", "mcs"}, out, err), 2);
-    EXPECT_NE(err.find("--engine-barrier"), std::string::npos);
+    for (const char* flag :
+         {"--frobnicate", "--engine-barrier", "--engine-rebalance"}) {
+        std::string out;
+        std::string err;
+        EXPECT_EQ(runSweep({flag}, out, err), 2) << flag;
+        EXPECT_NE(err.find("unknown option: " + std::string(flag)),
+                  std::string::npos)
+            << err;
+        EXPECT_TRUE(out.empty()) << flag;
+    }
 }
 
 TEST(SweepMain, EngineThreadsAboveGridTilesRunsClampedWithNote)

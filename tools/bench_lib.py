@@ -47,16 +47,14 @@ def run_point(dalorex, args, tag="bench"):
 def normalized(report):
     """A report minus the execution facets, for byte-identity diffs.
 
-    Thread count, scan mode, barrier flavor, the rebalance knob and
-    the stats.engine counters describe how the simulator ran, not
-    what it simulated; everything else — every counter the energy
-    model and the paper figures read — must match exactly between
-    runs that differ only in those knobs.
+    Thread count, scan mode and the stats.engine counters describe
+    how the simulator ran, not what it simulated; everything else —
+    every counter the energy model and the paper figures read — must
+    match exactly between runs that differ only in those knobs.
     """
     clone = json.loads(json.dumps(report))
     machine = clone["machine"]
-    for knob in ("engine_threads", "engine_scan", "engine_barrier",
-                 "engine_rebalance"):
+    for knob in ("engine_threads", "engine_scan"):
         if knob in machine:
             machine[knob] = None
     clone["stats"]["engine"] = None

@@ -23,7 +23,7 @@ from bench_lib import geomean, normalized, run_point, write_artifact
 # 64x64 thread-scaling workloads: enough parallel work per cycle for
 # the shards to matter. pagerank is the CI gate (dense, epoch-
 # synchronized, the steadiest load); bfs/sssp add frontier-driven
-# imbalance, which is also why the rebalancer column exists.
+# imbalance.
 WORKLOADS = [
     ("pagerank", ["--scale", "13", "--param", "iterations=5"]),
     ("bfs", ["--scale", "14"]),

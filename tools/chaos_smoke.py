@@ -23,6 +23,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -127,6 +128,23 @@ def phase1_local_kill(dalorex, work):
     return ref_jsonl
 
 
+def accepts_connections(sock):
+    """True once a daemon is listening on `sock`.
+
+    A SIGKILLed daemon leaves its socket file behind, so the file
+    existing says nothing about its restarted successor; only a
+    successful connect does.
+    """
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.connect(sock)
+        return True
+    except OSError:
+        return False
+    finally:
+        probe.close()
+
+
 def start_daemon(dalorex, sock, journal_dir):
     proc = subprocess.Popen(
         [dalorex, "serve", "--socket", sock, "--workers", "1",
@@ -134,7 +152,7 @@ def start_daemon(dalorex, sock, journal_dir):
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 15.0
     while time.monotonic() < deadline:
-        if os.path.exists(sock):
+        if accepts_connections(sock):
             return proc
         if proc.poll() is not None:
             sys.exit("chaos_smoke: daemon died on startup")
