@@ -57,14 +57,14 @@ main(int argc, char** argv)
         sweep::Plan plan;
         plan.kernels = {kernelOrDie("bfs")};
         plan.datasets = {{name, 0}};
-        plan.seed = opts.seed;
-        plan.validate = true; // as the old loop: every run checked
-        plan.scratchpadProvisionBytes = figProvisionBytes();
+        plan.base.seed = opts.seed;
+        plan.base.validate = true; // as the old loop: every run checked
+        plan.base.machine.scratchpadProvisionBytes = figProvisionBytes();
         // The paper uses a regular torus up to 32x32 and adds ruche
         // channels above (Sec. IV-A).
         sweep::Plan ruche = plan;
         ruche.topologies = {NocTopology::torusRuche};
-        ruche.rucheFactor = 4;
+        ruche.base.machine.rucheFactor = 4;
         for (const std::uint32_t side : grid_sides) {
             // The paper stops a line once tiles starve (well past the
             // ~1K vertices/tile knee); we stop below 16 vertices/tile.

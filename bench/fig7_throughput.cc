@@ -40,10 +40,10 @@ main(int argc, char** argv)
     plan.kernels = paperKernels(); // the paper's five (tag-selected)
     plan.datasets = {{name, 0}};
     plan.grids = {{16, 16}, {32, 32}};
-    plan.seed = opts.seed;
-    plan.validate = true; // as the old loop: every run checked
-    plan.params.push_back({"iterations", 5}); // bench budget
-    plan.scratchpadProvisionBytes = figProvisionBytes();
+    plan.base.seed = opts.seed;
+    plan.base.validate = true; // as the old loop: every run checked
+    plan.base.params.push_back({"iterations", 5}); // bench budget
+    plan.base.machine.scratchpadProvisionBytes = figProvisionBytes();
 
     std::vector<cli::Report> reports;
     {
@@ -59,7 +59,7 @@ main(int argc, char** argv)
         sweep::Plan ruche = plan;
         ruche.grids = {{64, 64}};
         ruche.topologies = {NocTopology::torusRuche};
-        ruche.rucheFactor = 4;
+        ruche.base.machine.rucheFactor = 4;
         const sweep::RunResult run =
             sweep::run(ruche, opts.workerThreads());
         fatal_if(!run.ok, "fig7 sweep: ", run.error);

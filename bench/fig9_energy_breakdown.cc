@@ -41,10 +41,10 @@ main(int argc, char** argv)
                       opts.full ? 0 : defaultQuickScale("livejournal")},
                      {opts.full ? "rmat18" : "rmat13", 0}};
     plan.grids = {{16, 16}};
-    plan.seed = opts.seed;
-    plan.validate = true; // as the old loop: every run checked
-    plan.params.push_back({"iterations", 5}); // bench budget
-    plan.scratchpadProvisionBytes = figProvisionBytes();
+    plan.base.seed = opts.seed;
+    plan.base.validate = true; // as the old loop: every run checked
+    plan.base.params.push_back({"iterations", 5}); // bench budget
+    plan.base.machine.scratchpadProvisionBytes = figProvisionBytes();
 
     // ...plus the large-grid RMAT-26 stand-in (ruche above 32x32).
     sweep::Plan big = plan;
@@ -53,7 +53,7 @@ main(int argc, char** argv)
                            : sweep::GridShape{32, 32}};
     if (opts.full) {
         big.topologies = {NocTopology::torusRuche};
-        big.rucheFactor = 4;
+        big.base.machine.rucheFactor = 4;
     }
 
     std::vector<cli::Report> reports;

@@ -78,8 +78,10 @@ struct ParseResult
 };
 
 /**
- * Parse argv (argv[0] is skipped). Unknown flags, missing values and
- * out-of-range numbers yield ok == false with a one-line error.
+ * Parse argv (argv[0] is skipped) through the scenario axis table
+ * (cli/scenario.hh), then finishScenario(). Unknown flags, missing
+ * values, out-of-range numbers and scenarios the machine cannot build
+ * yield ok == false with a one-line error.
  */
 ParseResult parseArgs(int argc, const char* const* argv);
 
@@ -109,15 +111,9 @@ std::string datasetListText();
  *  traits, defaults and tags (shared with `dalorex sweep`). */
 std::string kernelListText();
 
-// Name parsers shared with the sweep grid flags; all return false on
-// unknown names and accept the usage-text aliases. The kernel parser
-// resolves through the registry, so new kernels parse with no edits
-// here.
+/** Resolve a kernel name or alias through the registry; false on
+ *  unknown names. */
 bool parseKernel(const std::string& text, const KernelInfo*& out);
-bool parseTopology(const std::string& text, NocTopology& out);
-bool parsePolicy(const std::string& text, SchedPolicy& out);
-bool parseDistribution(const std::string& text, Distribution& out);
-bool parseEngineScan(const std::string& text, EngineScan& out);
 
 /** Parse a decimal unsigned integer; false on junk or overflow. */
 bool parseU64(const std::string& text, std::uint64_t& out);

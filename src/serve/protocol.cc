@@ -1,13 +1,9 @@
 #include "serve/protocol.hh"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <sstream>
+#include <optional>
 
-#include "apps/kernels.hh"
+#include "cli/scenario.hh"
 #include "energy/model.hh"
-#include "graph/datasets.hh"
 #include "graph/graphfile.hh"
 #include "serve/json.hh"
 
@@ -62,58 +58,6 @@ scavengeId(const std::string& line)
     return "";
 }
 
-/** Shortest round-trippable rendering of a double (param values). */
-std::string
-formatDouble(double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    // Prefer the shortest representation that still round-trips.
-    for (int precision = 1; precision < 17; ++precision) {
-        char candidate[32];
-        std::snprintf(candidate, sizeof candidate, "%.*g", precision,
-                      value);
-        double back = 0.0;
-        std::sscanf(candidate, "%lf", &back);
-        if (back == value)
-            return candidate;
-    }
-    return buf;
-}
-
-/** Fetch an unsigned field bounded to [min, max]; absent = `def`. */
-bool
-u64Field(const JsonValue& object, const char* name,
-         std::uint64_t min, std::uint64_t max, std::uint64_t def,
-         std::uint64_t& out, std::string& err)
-{
-    const JsonValue* field = object.find(name);
-    if (field == nullptr) {
-        out = def;
-        return true;
-    }
-    std::uint64_t v = 0;
-    if (!field->asU64(v) || v < min || v > max) {
-        err = std::string(name) + " must be an integer in [" +
-              std::to_string(min) + ", " + std::to_string(max) + "]";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-u32Field(const JsonValue& object, const char* name,
-         std::uint32_t min, std::uint32_t max, std::uint32_t def,
-         std::uint32_t& out, std::string& err)
-{
-    std::uint64_t v = 0;
-    if (!u64Field(object, name, min, max, def, v, err))
-        return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
 bool
 stringField(const JsonValue& object, const char* name,
             const std::string& def, std::string& out,
@@ -132,42 +76,33 @@ stringField(const JsonValue& object, const char* name,
     return true;
 }
 
+/** The request fields outside the scenario axis table. */
 bool
-boolField(const JsonValue& object, const char* name, bool def,
-          bool& out, std::string& err)
+requestField(const std::string& name)
 {
-    const JsonValue* field = object.find(name);
-    if (field == nullptr) {
-        out = def;
-        return true;
-    }
-    if (!field->isBool()) {
-        err = std::string(name) + " must be true or false";
-        return false;
-    }
-    out = field->boolean;
-    return true;
-}
-
-/** The scenario/scheduling fields a run request may carry. */
-constexpr const char* knownFields[] = {
-    "type",           "id",           "client",
-    "priority",       "weight",       "kernel",
-    "dataset",        "scale",        "dataset_scale",
-    "width",          "height",       "topology",
-    "ruche_factor",   "policy",       "distribution",
-    "barrier",        "invoke_overhead", "max_cycles",
-    "engine_threads", "engine_scan",  "params",
-    "seed",           "validate",     "scratchpad_bytes",
-    "deadline_ms",
-};
-
-bool
-knownField(const std::string& name)
-{
-    for (const char* field : knownFields)
+    for (const char* field : {"type", "id", "client", "priority", "weight"})
         if (name == field)
             return true;
+    return false;
+}
+
+/** A scenario field's value in the text form its axis parses;
+ *  false when the JSON type does not match the axis. */
+bool
+fieldText(const cli::Axis& axis, const JsonValue& field,
+          std::string& text)
+{
+    switch (axis.kind) {
+      case cli::JsonKind::number:
+        text = field.raw;
+        return field.isNumber();
+      case cli::JsonKind::string:
+        text = field.text;
+        return field.isString();
+      case cli::JsonKind::boolean:
+        text = field.boolean ? "true" : "false";
+        return field.isBool();
+    }
     return false;
 }
 
@@ -224,7 +159,7 @@ parseRequestLine(const std::string& line)
 
     for (const auto& [name, value] : object.members) {
         (void)value;
-        if (!knownField(name))
+        if (!requestField(name) && cli::axisByKey(name) == nullptr)
             return fail(std::move(parsed),
                         "unknown request field: " + name);
     }
@@ -253,132 +188,25 @@ parseRequestLine(const std::string& line)
     if (r.type != Request::Type::run)
         return parsed;
 
-    cli::Options& o = r.options;
-
-    std::string kernel;
-    if (!stringField(object, "kernel", "", kernel, err))
-        return fail(std::move(parsed), err);
-    if (!kernel.empty() && !cli::parseKernel(kernel, o.kernel))
-        return fail(std::move(parsed),
-                    "unknown kernel: " + kernel + " (" +
-                        KernelRegistry::instance().namesText() + ")");
-
-    if (!stringField(object, "dataset", "", o.dataset, err))
-        return fail(std::move(parsed), err);
-    if (!o.dataset.empty() && !knownDataset(o.dataset))
-        return fail(std::move(parsed),
-                    "unknown dataset: " + o.dataset);
-
-    std::uint32_t scale = 0;
-    if (!u32Field(object, "scale", 4, 26, o.scale, scale, err))
-        return fail(std::move(parsed), err);
-    o.scale = scale;
-    std::uint32_t dataset_scale = 0;
-    if (!u32Field(object, "dataset_scale", 0, 31, 0, dataset_scale,
-                  err))
-        return fail(std::move(parsed), err);
-    if (dataset_scale != 0 && dataset_scale < 4)
-        return fail(std::move(parsed),
-                    "dataset_scale must be 0 or in [4, 31]");
-    o.datasetScale = dataset_scale;
-
-    if (!u32Field(object, "width", 1, 1024, o.machine.width,
-                  o.machine.width, err) ||
-        !u32Field(object, "height", 1, 1024, o.machine.height,
-                  o.machine.height, err))
-        return fail(std::move(parsed), err);
-
-    std::string topology;
-    if (!stringField(object, "topology", "", topology, err))
-        return fail(std::move(parsed), err);
-    if (!topology.empty() &&
-        !cli::parseTopology(topology, o.machine.topology))
-        return fail(std::move(parsed),
-                    "unknown topology: " + topology +
-                        " (mesh|torus|torus-ruche)");
-    if (!u32Field(object, "ruche_factor", 0, 64, 0,
-                  o.machine.rucheFactor, err))
-        return fail(std::move(parsed), err);
-    if (o.machine.rucheFactor == 1)
-        return fail(std::move(parsed),
-                    "ruche_factor must be 0 or in [2, 64]");
-
-    std::string policy;
-    if (!stringField(object, "policy", "", policy, err))
-        return fail(std::move(parsed), err);
-    if (!policy.empty() && !cli::parsePolicy(policy, o.machine.policy))
-        return fail(std::move(parsed),
-                    "unknown policy: " + policy +
-                        " (round-robin|traffic-aware)");
-
-    std::string distribution;
-    if (!stringField(object, "distribution", "", distribution, err))
-        return fail(std::move(parsed), err);
-    if (!distribution.empty() &&
-        !cli::parseDistribution(distribution,
-                                o.machine.distribution))
-        return fail(std::move(parsed),
-                    "unknown distribution: " + distribution +
-                        " (low-order|high-order)");
-
-    if (!boolField(object, "barrier", false, o.machine.barrier, err))
-        return fail(std::move(parsed), err);
-    if (!u32Field(object, "invoke_overhead", 0, 1'000'000, 0,
-                  o.machine.invokeOverhead, err))
-        return fail(std::move(parsed), err);
-    std::uint64_t max_cycles = 0;
-    if (!u64Field(object, "max_cycles", 0, ~std::uint64_t(0), 0,
-                  max_cycles, err))
-        return fail(std::move(parsed), err);
-    o.machine.maxCycles = max_cycles;
-
-    std::uint32_t engine_threads = 1;
-    if (!u32Field(object, "engine_threads", 1, 256, 1, engine_threads,
-                  err))
-        return fail(std::move(parsed), err);
-    // Mirror cli::parseArgs's clamp: never more workers than shards,
-    // so a request and the equivalent argv render the same
-    // machine.engine_threads in the report.
-    o.machine.engineThreads = std::min(
-        engine_threads, o.machine.width * o.machine.height);
-
-    std::string engine_scan;
-    if (!stringField(object, "engine_scan", "", engine_scan, err))
-        return fail(std::move(parsed), err);
-    if (!engine_scan.empty() &&
-        !cli::parseEngineScan(engine_scan, o.machine.engineScan))
-        return fail(std::move(parsed),
-                    "engine_scan must be full|active");
-
-    std::uint64_t scratchpad = 0;
-    if (!u64Field(object, "scratchpad_bytes", 0,
-                  std::uint64_t(1) << 40, 0, scratchpad, err))
-        return fail(std::move(parsed), err);
-    o.machine.scratchpadProvisionBytes = scratchpad;
-
-    std::string params;
-    if (!stringField(object, "params", "", params, err))
-        return fail(std::move(parsed), err);
-    if (!params.empty() &&
-        !parseParamOverrides(params, o.params, err))
-        return fail(std::move(parsed), err);
-
-    if (!u64Field(object, "seed", 0, ~std::uint64_t(0), 1, o.seed,
-                  err))
-        return fail(std::move(parsed), err);
-    if (!boolField(object, "validate", false, o.validate, err))
-        return fail(std::move(parsed), err);
-    if (!u64Field(object, "deadline_ms", 0, ~std::uint64_t(0), 0,
-                  o.deadlineMs, err))
-        return fail(std::move(parsed), err);
-
-    // Mirror cli::parseArgs's ruche normalization so a request and
-    // the equivalent argv produce the same MachineConfig.
-    if (o.machine.topology == NocTopology::torusRuche &&
-        o.machine.rucheFactor < 2)
-        o.machine.rucheFactor = 2;
-    if (o.machine.topology != NocTopology::torusRuche)
-        o.machine.rucheFactor = 0;
+    // Table order, first occurrence of a key: the same fields in the
+    // same order whatever the request's member order.
+    for (const cli::Axis& axis : cli::scenarioAxes()) {
+        const JsonValue* field =
+            axis.key != nullptr ? object.find(axis.key) : nullptr;
+        if (field == nullptr)
+            continue;
+        std::string text;
+        if (!fieldText(axis, *field, text))
+            return fail(std::move(parsed), std::string(axis.key) +
+                                               " has the wrong JSON type");
+        if (axis.kind == cli::JsonKind::string && text.empty())
+            continue; // "" leaves the axis unset
+        if (!axis.parse(axis.key, text, r.options, err))
+            return fail(std::move(parsed), err);
+    }
+    const cli::ScenarioCheck check = cli::finishScenario(r.options);
+    if (!check.ok)
+        return fail(std::move(parsed), check.error);
     return parsed;
 }
 
@@ -386,49 +214,20 @@ std::string
 renderRunRequest(const cli::Options& options, const std::string& id,
                  const std::string& client, int priority)
 {
-    const cli::Options& o = options;
-    std::ostringstream out;
-    out << "{\"type\":\"run\",\"id\":" << jsonQuote(id)
-        << ",\"client\":" << jsonQuote(client)
-        << ",\"priority\":" << priority
-        << ",\"kernel\":" << jsonQuote(o.kernel->name)
-        << ",\"dataset\":" << jsonQuote(o.dataset)
-        << ",\"scale\":" << o.scale
-        << ",\"dataset_scale\":" << o.datasetScale
-        << ",\"width\":" << o.machine.width
-        << ",\"height\":" << o.machine.height
-        << ",\"topology\":" << jsonQuote(toString(o.machine.topology))
-        << ",\"ruche_factor\":" << o.machine.rucheFactor
-        << ",\"policy\":" << jsonQuote(toString(o.machine.policy))
-        << ",\"distribution\":"
-        << jsonQuote(toString(o.machine.distribution))
-        << ",\"barrier\":" << (o.machine.barrier ? "true" : "false")
-        << ",\"invoke_overhead\":" << o.machine.invokeOverhead
-        << ",\"max_cycles\":" << o.machine.maxCycles
-        << ",\"engine_threads\":"
-        << std::max(1u, o.machine.engineThreads)
-        << ",\"engine_scan\":"
-        << jsonQuote(toString(o.machine.engineScan))
-        << ",\"scratchpad_bytes\":"
-        << o.machine.scratchpadProvisionBytes;
-    if (!o.params.empty()) {
-        std::string params;
-        for (const ParamOverride& p : o.params) {
-            if (!params.empty())
-                params += ',';
-            params += p.name + "=" + formatDouble(p.value);
-        }
-        out << ",\"params\":" << jsonQuote(params);
+    std::string out = "{\"type\":\"run\",\"id\":" + jsonQuote(id) +
+                      ",\"client\":" + jsonQuote(client) +
+                      ",\"priority\":" + std::to_string(priority);
+    for (const cli::Axis& axis : cli::scenarioAxes()) {
+        if (axis.key == nullptr)
+            continue;
+        const std::optional<std::string> text = axis.render(options);
+        if (!text)
+            continue;
+        out += ",\"" + std::string(axis.key) + "\":" +
+               (axis.kind == cli::JsonKind::string ? jsonQuote(*text)
+                                                   : *text);
     }
-    out << ",\"seed\":" << o.seed
-        << ",\"validate\":" << (o.validate ? "true" : "false");
-    // Run-control knob, not scenario identity: emit only when set so
-    // journal point hashes (computed with deadlineMs zeroed) match the
-    // request bytes of an undeadlined submission.
-    if (o.deadlineMs > 0)
-        out << ",\"deadline_ms\":" << o.deadlineMs;
-    out << "}";
-    return out.str();
+    return out + "}";
 }
 
 std::string

@@ -22,9 +22,14 @@
  * (and CI) can diff serve-backed runs against standalone runs without
  * any re-serialization.
  *
- * Every scenario field mirrors one `dalorex` CLI flag and parses
- * through the same cli:: parsers, so the two front doors cannot
- * drift. Unknown fields are an error: a typoed knob must fail the
+ * The scenario fields are the request keys of the axis table in
+ * cli/scenario.hh, the table behind the `dalorex` and `dalorex sweep`
+ * flags too: a field parses, range-checks and renders exactly as its
+ * flag does, and cli::finishScenario() applies the same cross-axis
+ * rules. Where a front end differs (a key with no flag, such as
+ * dataset_scale; a flag with no key, such as --pagerank-iters; the
+ * "" and 0 spellings that leave a field unset), the table row says
+ * so. Unknown fields are an error: a typoed knob must fail the
  * request, not silently run a default scenario.
  */
 

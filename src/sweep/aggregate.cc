@@ -24,7 +24,12 @@ datasetLabel(const cli::Report& report)
     return label;
 }
 
-/** Every axis except the grid shape: rows sharing it form a group. */
+/**
+ * Every result-changing axis except the grid shape: rows sharing it
+ * form a group. Engine threads are left out: they never change
+ * results, and the per-grid clamp gives one threads value different
+ * counts on different grids.
+ */
 std::string
 groupKey(const cli::Report& report)
 {
@@ -35,8 +40,7 @@ groupKey(const cli::Report& report)
         << o.machine.rucheFactor << '|' << toString(o.machine.policy)
         << '|' << toString(o.machine.distribution) << '|'
         << o.machine.barrier << '|' << o.machine.invokeOverhead << '|'
-        << o.machine.scratchpadProvisionBytes << '|'
-        << o.machine.engineThreads;
+        << o.machine.scratchpadProvisionBytes;
     return key.str();
 }
 

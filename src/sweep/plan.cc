@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
-#include "common/text.hh"
-#include "graph/datasets.hh"
+#include "cli/scenario.hh"
 
 namespace dalorex
 {
@@ -100,44 +99,6 @@ expand(const Plan& plan)
         return fail("barrier axis is empty");
     if (engine_threads.empty())
         return fail("engine-threads axis is empty");
-    for (const unsigned threads : engine_threads) {
-        if (threads < 1 || threads > 256)
-            return fail("engine-threads out of [1,256]: " +
-                        std::to_string(threads));
-    }
-
-    for (const GridShape& grid : grids) {
-        if (grid.width < 1 || grid.width > 1024 || grid.height < 1 ||
-            grid.height > 1024)
-            return fail("grid shape out of [1,1024]x[1,1024]: " +
-                        toString(grid));
-    }
-    for (const DatasetSpec& ds : datasets) {
-        if (ds.name.empty()) {
-            if (ds.scale < 4 || ds.scale > 26)
-                return fail("RMAT scale out of [4,26]: " +
-                            std::to_string(ds.scale));
-        } else {
-            if (!knownDataset(ds.name))
-                return fail("unknown dataset: " + ds.name +
-                            " (try --list-datasets)");
-            if (ds.scale != 0) {
-                if (toLower(ds.name).rfind("rmat", 0) == 0)
-                    return fail(
-                        "rmatN datasets carry their scale in the "
-                        "name; drop @" + std::to_string(ds.scale) +
-                        " from " + ds.name);
-                if (isFileDataset(ds.name))
-                    return fail(
-                        "file: datasets are fixed size; drop @" +
-                        std::to_string(ds.scale) + " from " +
-                        ds.name);
-                if (ds.scale < 4 || ds.scale > 31)
-                    return fail("dataset scale out of [4,31]: " +
-                                std::to_string(ds.scale));
-            }
-        }
-    }
 
     ExpandResult result;
     result.baseline =
@@ -155,36 +116,29 @@ expand(const Plan& plan)
               for (const Distribution distribution : distributions)
                 for (const bool barrier : barriers)
                   for (const unsigned threads : engine_threads) {
-                      cli::Options o;
+                      cli::Options o = plan.base;
                       o.kernel = kernel;
                       o.dataset = ds.name;
                       if (ds.name.empty())
                           o.scale = ds.scale;
                       else
                           o.datasetScale = ds.scale;
-                      o.seed = plan.seed;
-                      o.validate = plan.validate;
-                      o.params = plan.params;
                       o.machine.width = grid.width;
                       o.machine.height = grid.height;
                       o.machine.topology = topology;
-                      o.machine.rucheFactor =
-                          topology == NocTopology::torusRuche
-                              ? std::max<std::uint32_t>(
-                                    2, plan.rucheFactor)
-                              : 0;
                       o.machine.policy = policy;
                       o.machine.distribution = distribution;
                       o.machine.barrier = barrier;
-                      // Per-point clamp mirroring the CLI: a grid
-                      // with fewer tiles than the threads axis value
-                      // caps the crew at one worker per shard.
-                      o.machine.engineThreads =
-                          std::min(threads, grid.tiles());
-                      o.machine.engineScan = plan.engineScan;
-                      o.machine.invokeOverhead = plan.invokeOverhead;
-                      o.machine.scratchpadProvisionBytes =
-                          plan.scratchpadProvisionBytes;
+                      o.machine.engineThreads = threads;
+                      const cli::ScenarioCheck check =
+                          cli::finishScenario(o);
+                      if (!check.ok)
+                          return fail(check.error);
+                      if (!check.note.empty() &&
+                          std::find(result.notes.begin(),
+                                    result.notes.end(),
+                                    check.note) == result.notes.end())
+                          result.notes.push_back(check.note);
                       result.points.push_back(std::move(o));
                   }
     return result;

@@ -7,9 +7,9 @@
  * cartesian product into concrete cli::Options, one per point, in a
  * deterministic kernel-major order. All user errors — an empty axis,
  * an unknown dataset name, a speedup baseline that is not on the grid
- * axis — surface as a one-line diagnostic at expansion time, before
- * any worker thread runs, so the parallel phase only ever sees
- * pre-validated scenarios.
+ * axis, a point cli::finishScenario() refuses — surface as a one-line
+ * diagnostic at expansion time, before any worker thread runs, so the
+ * parallel phase only ever sees pre-validated scenarios.
  */
 
 #ifndef DALOREX_SWEEP_PLAN_HH
@@ -87,22 +87,13 @@ struct Plan
      */
     std::vector<unsigned> engineThreads{1};
 
-    /** Cycle-stepping scan mode applied to every point (simulator
-     *  only; results are byte-identical for both — the `full` oracle
-     *  exists for determinism checks and scan-cost benchmarks). */
-    EngineScan engineScan = EngineScan::active;
-    /** Ruche hop distance applied to torus-ruche points. */
-    std::uint32_t rucheFactor = 2;
-    /** Extra cycles per task invocation (ablation knob). */
-    std::uint32_t invokeOverhead = 0;
-    /** Kernel parameter overrides (`--param damping=0.9,...`); keys
-     *  a kernel declares unused are skipped per point. */
-    std::vector<ParamOverride> params;
-    /** Per-tile scratchpad provision in bytes (0 = size to usage). */
-    std::uint64_t scratchpadProvisionBytes = 0;
-    std::uint64_t seed = 1;
-    /** Validate every point against the sequential reference. */
-    bool validate = false;
+    /**
+     * Every other knob, copied into each point before the axes above
+     * set theirs (kernel, dataset and its scale, width, height,
+     * topology, policy, distribution, barrier, engine threads). Each
+     * point then goes through cli::finishScenario().
+     */
+    cli::Options base;
 
     /**
      * Grid shape of the speedup baseline row within each scenario
@@ -118,13 +109,16 @@ struct ExpandResult
     GridShape baseline{};             //!< resolved baseline shape
     bool ok = true;
     std::string error; //!< one line, set when !ok
+    /** Distinct finishScenario() notes (engine-thread clamps). */
+    std::vector<std::string> notes;
 };
 
 /**
  * Validate `plan` and expand it into concrete scenario options.
  * Never crashes on malformed plans: empty axes, out-of-range shapes,
- * unknown dataset names and a baseline missing from the grid axis all
- * yield ok == false with a one-line error.
+ * unknown dataset names, a baseline missing from the grid axis and
+ * points the machine cannot build all yield ok == false with a
+ * one-line error.
  */
 ExpandResult expand(const Plan& plan);
 

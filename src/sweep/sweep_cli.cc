@@ -4,9 +4,11 @@
 #include <atomic>
 #include <csignal>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <vector>
 
+#include "cli/scenario.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
 #include "common/text.hh"
@@ -83,12 +85,44 @@ fail(const std::string& message)
     return result;
 }
 
-/** A --dataset entry before quick/full default scales apply. */
-struct RawDataset
+/**
+ * Parse one comma-list value of `axis` into one Options per item.
+ * Beyond the table's spellings, --kernel takes `all` and --dataset
+ * takes NAME@SCALE (not on file: names, which are paths and may hold
+ * '@'; their size is fixed anyway).
+ */
+bool
+parseList(const cli::Axis& axis, const std::string& flag,
+          const std::string& value, std::vector<cli::Options>& items,
+          std::string& err)
 {
-    std::string name;
-    unsigned scale = 0; //!< explicit NAME@SCALE (0 = unset)
-};
+    const std::string key = axis.key;
+    for (const std::string& item : splitCommas(value)) {
+        if (key == "kernel" && toLower(item) == "all") {
+            for (const KernelInfo* kernel : allKernels()) {
+                items.emplace_back();
+                items.back().kernel = kernel;
+            }
+            continue;
+        }
+        cli::Options parsed;
+        std::string text = item;
+        const std::size_t at = key == "dataset" && !isFileDataset(item)
+                                   ? item.find('@')
+                                   : std::string::npos;
+        if (at != std::string::npos) {
+            text = item.substr(0, at);
+            if (!cli::axisByKey("dataset_scale")
+                     ->parse("dataset scale", item.substr(at + 1),
+                             parsed, err))
+                return false;
+        }
+        if (!axis.parse(flag, text, parsed, err))
+            return false;
+        items.push_back(std::move(parsed));
+    }
+    return true;
+}
 
 } // namespace
 
@@ -97,92 +131,44 @@ parseSweepArgs(int argc, const char* const* argv)
 {
     SweepParseResult result;
     SweepOptions& o = result.options;
-    std::vector<RawDataset> rawDatasets;
-    std::vector<unsigned> rmatScales;
-    // Axes with non-empty Plan defaults drop them on the flag's first
-    // occurrence; every repeated flag then appends, like the others.
-    bool sawTopology = false;
-    bool sawPolicy = false;
-    bool sawDistribution = false;
-    bool sawEngineThreads = false;
-
-    auto needsValue = [](const std::string& flag) {
-        static const std::vector<std::string> valued = {
-            "--kernel",   "--dataset",      "--scale",
-            "--grid-size", "--topology",    "--policy",
-            "--distribution", "--barrier",  "--baseline",
-            "--ruche-factor", "--invoke-overhead", "--seed",
-            "--pagerank-iters", "--param",  "--engine-threads",
-            "--engine-scan", "--threads",
-            "--csv", "--jsonl", "--via",
-            "--journal", "--resume", "--retries",
-            "--retry-backoff-ms", "--row-deadline-ms",
-        };
-        return std::find(valued.begin(), valued.end(), flag) !=
-               valued.end();
-    };
+    // Comma-list axes by request key: one Options per value, argv order.
+    std::map<std::string, std::vector<cli::Options>> lists;
+    // Sweep's own valued flags match only when their value is there;
+    // a missing one falls through to the error below.
+    std::string value;
+    std::string missing;
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        std::string value;
-        if (needsValue(flag)) {
-            if (i + 1 >= argc)
+        auto next = [&] {
+            if (i + 1 < argc) {
+                value = argv[++i];
+                return true;
+            }
+            missing = flag + " needs a value";
+            return false;
+        };
+        // A path value, not the next flag swallowed by a missing one.
+        auto path = [&value](std::string& out) {
+            out = value;
+            return !value.empty() && value.rfind("--", 0) != 0;
+        };
+        const cli::Axis* axis = cli::axisByFlag(flag);
+        if (axis != nullptr && axis->sweep != cli::SweepTakes::none) {
+            std::string err;
+            if (!cli::flagValue(*axis, argc, argv, i, value))
                 return fail(flag + " needs a value");
-            value = argv[++i];
-        }
-
-        if (flag == "--help" || flag == "-h") {
+            if (axis->sweep == cli::SweepTakes::list
+                    ? !parseList(*axis, flag, value, lists[axis->key], err)
+                    : !axis->parse(flag, value, o.plan.base, err))
+                return fail(err);
+        } else if (flag == "--help" || flag == "-h") {
             o.help = true;
         } else if (flag == "--list-datasets") {
             o.listDatasets = true;
         } else if (flag == "--list-kernels") {
             o.listKernels = true;
-        } else if (flag == "--kernel") {
-            for (const std::string& item : splitCommas(value)) {
-                if (toLower(item) == "all") {
-                    for (const KernelInfo* k : allKernels())
-                        o.plan.kernels.push_back(k);
-                    continue;
-                }
-                const KernelInfo* kernel = nullptr;
-                if (!cli::parseKernel(item, kernel))
-                    return fail(
-                        "unknown kernel: " + item + " (" +
-                        KernelRegistry::instance().namesText() +
-                        "|all)");
-                o.plan.kernels.push_back(kernel);
-            }
-        } else if (flag == "--dataset") {
-            for (const std::string& item : splitCommas(value)) {
-                RawDataset raw;
-                // file: names are paths, which may contain '@';
-                // their size is fixed anyway, so no @SCALE suffix.
-                const std::size_t at = isFileDataset(item)
-                                           ? std::string::npos
-                                           : item.find('@');
-                raw.name = item.substr(0, at);
-                if (raw.name.empty())
-                    return fail("--dataset needs a name, got: " +
-                                item);
-                if (at != std::string::npos) {
-                    std::uint32_t scale = 0;
-                    if (!cli::parseU32(item.substr(at + 1), 4, 31,
-                                       scale))
-                        return fail("dataset scale must be in "
-                                    "[4, 31], got: " + item);
-                    raw.scale = scale;
-                }
-                rawDatasets.push_back(std::move(raw));
-            }
-        } else if (flag == "--scale") {
-            for (const std::string& item : splitCommas(value)) {
-                std::uint32_t scale = 0;
-                if (!cli::parseU32(item, 4, 26, scale))
-                    return fail("--scale must be in [4, 26], got " +
-                                item);
-                rmatScales.push_back(scale);
-            }
-        } else if (flag == "--grid-size") {
+        } else if (flag == "--grid-size" && next()) {
             for (const std::string& item : splitCommas(value)) {
                 GridShape shape;
                 if (!parseGridShape(item, shape))
@@ -190,40 +176,7 @@ parseSweepArgs(int argc, const char* const* argv)
                                 "16x16): " + item);
                 o.plan.grids.push_back(shape);
             }
-        } else if (flag == "--topology") {
-            if (!sawTopology)
-                o.plan.topologies.clear();
-            sawTopology = true;
-            for (const std::string& item : splitCommas(value)) {
-                NocTopology topology;
-                if (!cli::parseTopology(item, topology))
-                    return fail("unknown topology: " + item +
-                                " (mesh|torus|torus-ruche)");
-                o.plan.topologies.push_back(topology);
-            }
-        } else if (flag == "--policy") {
-            if (!sawPolicy)
-                o.plan.policies.clear();
-            sawPolicy = true;
-            for (const std::string& item : splitCommas(value)) {
-                SchedPolicy policy;
-                if (!cli::parsePolicy(item, policy))
-                    return fail("unknown policy: " + item +
-                                " (round-robin|traffic-aware)");
-                o.plan.policies.push_back(policy);
-            }
-        } else if (flag == "--distribution") {
-            if (!sawDistribution)
-                o.plan.distributions.clear();
-            sawDistribution = true;
-            for (const std::string& item : splitCommas(value)) {
-                Distribution distribution;
-                if (!cli::parseDistribution(item, distribution))
-                    return fail("unknown distribution: " + item +
-                                " (low-order|high-order)");
-                o.plan.distributions.push_back(distribution);
-            }
-        } else if (flag == "--barrier") {
+        } else if (flag == "--barrier" && next()) {
             const std::string mode = toLower(value);
             if (mode == "off")
                 o.plan.barriers = {false};
@@ -234,86 +187,42 @@ parseSweepArgs(int argc, const char* const* argv)
             else
                 return fail("--barrier must be off|on|both, got " +
                             value);
-        } else if (flag == "--baseline") {
+        } else if (flag == "--baseline" && next()) {
             if (!parseGridShape(value, o.plan.baseline))
                 return fail("bad --baseline (want WxH, e.g. 4x4): " +
                             value);
-        } else if (flag == "--ruche-factor") {
-            if (!cli::parseU32(value, 2, 64, o.plan.rucheFactor))
-                return fail("--ruche-factor must be in [2, 64], got " +
-                            value);
-        } else if (flag == "--invoke-overhead") {
-            if (!cli::parseU32(value, 0, 1'000'000,
-                               o.plan.invokeOverhead))
-                return fail("--invoke-overhead must be in "
-                            "[0, 1000000], got " + value);
-        } else if (flag == "--seed") {
-            if (!cli::parseU64(value, o.plan.seed))
-                return fail("--seed must be an integer, got " + value);
-        } else if (flag == "--pagerank-iters") {
-            // Deprecated alias for --param iterations=N.
-            std::uint32_t iters = 0;
-            if (!cli::parseU32(value, 1, 1000, iters))
-                return fail("--pagerank-iters must be in [1, 1000], "
-                            "got " + value);
-            o.plan.params.push_back(
-                {"iterations", static_cast<double>(iters)});
-        } else if (flag == "--param") {
-            std::string err;
-            if (!parseParamOverrides(value, o.plan.params, err))
-                return fail(err);
-        } else if (flag == "--engine-threads") {
-            if (!sawEngineThreads)
-                o.plan.engineThreads.clear();
-            sawEngineThreads = true;
-            for (const std::string& item : splitCommas(value)) {
-                std::uint32_t threads = 0;
-                if (!cli::parseU32(item, 1, 256, threads))
-                    return fail("--engine-threads must be in "
-                                "[1, 256], got " + item);
-                o.plan.engineThreads.push_back(threads);
-            }
-        } else if (flag == "--engine-scan") {
-            if (!cli::parseEngineScan(value, o.plan.engineScan))
-                return fail("--engine-scan must be full|active, got " +
-                            value);
-        } else if (flag == "--threads") {
+        } else if (flag == "--threads" && next()) {
             std::uint32_t threads = 0;
             if (!cli::parseU32(value, 1, 256, threads))
                 return fail("--threads must be in [1, 256], got " +
                             value);
             o.threads = threads;
-        } else if (flag == "--via") {
-            if (value.empty() || value.rfind("--", 0) == 0)
+        } else if (flag == "--via" && next()) {
+            if (!path(o.via))
                 return fail("--via needs a daemon socket path");
-            o.via = value;
-        } else if (flag == "--csv") {
-            if (value.empty() || value.rfind("--", 0) == 0)
+        } else if (flag == "--csv" && next()) {
+            if (!path(o.csvPath))
                 return fail("--csv needs a file path");
-            o.csvPath = value;
-        } else if (flag == "--jsonl") {
-            if (value.empty() || value.rfind("--", 0) == 0)
+        } else if (flag == "--jsonl" && next()) {
+            if (!path(o.jsonlPath))
                 return fail("--jsonl needs a file path");
-            o.jsonlPath = value;
-        } else if (flag == "--journal") {
-            if (value.empty() || value.rfind("--", 0) == 0)
+        } else if (flag == "--journal" && next()) {
+            if (!path(o.journalPath))
                 return fail("--journal needs a file path");
-            o.journalPath = value;
-        } else if (flag == "--resume") {
-            if (value.empty() || value.rfind("--", 0) == 0)
+        } else if (flag == "--resume" && next()) {
+            if (!path(o.resumePath))
                 return fail("--resume needs a journal file path");
-            o.resumePath = value;
-        } else if (flag == "--retries") {
+        } else if (flag == "--retries" && next()) {
             std::uint32_t retries = 0;
             if (!cli::parseU32(value, 0, 16, retries))
                 return fail("--retries must be in [0, 16], got " +
                             value);
             o.retries = retries;
-        } else if (flag == "--retry-backoff-ms") {
+        } else if (flag == "--retry-backoff-ms" && next()) {
             if (!cli::parseU64(value, o.retryBackoffMs))
                 return fail("--retry-backoff-ms must be an integer, "
                             "got " + value);
-        } else if (flag == "--row-deadline-ms") {
+        } else if (flag == "--row-deadline-ms" && next()) {
             if (!cli::parseU64(value, o.rowDeadlineMs))
                 return fail("--row-deadline-ms must be an integer, "
                             "got " + value);
@@ -323,30 +232,48 @@ parseSweepArgs(int argc, const char* const* argv)
             o.quick = true;
         } else if (flag == "--full") {
             o.quick = false;
-        } else if (flag == "--validate") {
-            o.plan.validate = true;
         } else {
-            return fail("unknown option: " + flag + " (try --help)");
+            return fail(!missing.empty()
+                            ? missing
+                            : "unknown option: " + flag + " (try --help)");
         }
     }
 
-    // Defaults that depend on other flags apply once argv is read.
-    if (o.plan.kernels.empty())
-        o.plan.kernels = allKernels();
-    if (o.plan.grids.empty())
-        o.plan.grids = {{4, 4}, {8, 8}, {16, 16}};
-    for (const RawDataset& raw : rawDatasets) {
-        DatasetSpec spec;
-        spec.name = raw.name;
-        spec.scale = raw.scale != 0 ? raw.scale
-                     : o.quick      ? defaultQuickScale(raw.name)
-                                    : 0;
-        o.plan.datasets.push_back(std::move(spec));
-    }
-    for (const unsigned scale : rmatScales)
-        o.plan.datasets.push_back({"", scale});
-    if (o.plan.datasets.empty())
-        o.plan.datasets.push_back({"", o.quick ? 10u : 14u});
+    // Listed axes replace the Plan defaults; then defaults that depend
+    // on other flags apply once argv is read.
+    Plan& plan = o.plan;
+    auto take = [&lists](const char* key, auto& axis, auto value_of) {
+        const auto it = lists.find(key);
+        if (it == lists.end())
+            return;
+        axis.clear();
+        for (const cli::Options& item : it->second)
+            axis.push_back(value_of(item));
+    };
+    take("kernel", plan.kernels,
+         [](const cli::Options& x) { return x.kernel; });
+    take("topology", plan.topologies,
+         [](const cli::Options& x) { return x.machine.topology; });
+    take("policy", plan.policies,
+         [](const cli::Options& x) { return x.machine.policy; });
+    take("distribution", plan.distributions,
+         [](const cli::Options& x) { return x.machine.distribution; });
+    take("engine_threads", plan.engineThreads,
+         [](const cli::Options& x) { return x.machine.engineThreads; });
+    take("dataset", plan.datasets, [&o](const cli::Options& x) {
+        const unsigned scale = x.datasetScale != 0 ? x.datasetScale
+                               : o.quick ? defaultQuickScale(x.dataset)
+                                         : 0;
+        return DatasetSpec{x.dataset, scale};
+    });
+    for (const cli::Options& x : lists["scale"])
+        plan.datasets.push_back({"", x.scale});
+    if (plan.datasets.empty())
+        plan.datasets.push_back({"", o.quick ? 10u : 14u});
+    if (plan.kernels.empty())
+        plan.kernels = allKernels();
+    if (plan.grids.empty())
+        plan.grids = {{4, 4}, {8, 8}, {16, 16}};
     return result;
 }
 
@@ -362,94 +289,53 @@ sweepUsageText()
         "speedup vs the baseline grid, strong-scaling parallel\n"
         "efficiency and energy per edge.\n"
         "\n"
-        "grid axes (comma-separated values):\n"
-        "  --kernel K,...        " +
-        KernelRegistry::instance().namesText() +
-        "|all (default all)\n"
-        "  --dataset NAME,...    amazon|wiki|livejournal|rmatN, or\n"
-        "                        file:PATH for a binary CSR graph"
-        " written by\n"
-        "                        `dalorex convert`; NAME@SCALE pins a"
-        " stand-in\n"
-        "                        scale (default: RMAT at --scale)\n"
-        "  --scale N,...         RMAT scales [4,26] when --dataset is"
-        " absent\n"
-        "                        (default: 10 quick, 14 full)\n"
-        "  --grid-size WxH,...   machine shapes"
-        " (default 4x4,8x8,16x16)\n"
-        "  --topology T,...      mesh|torus|torus-ruche"
-        " (default torus)\n"
-        "  --policy P,...        round-robin|traffic-aware"
-        " (default traffic-aware)\n"
-        "  --distribution D,...  low-order|high-order"
-        " (default low-order)\n"
-        "  --barrier M           off|on|both (default off)\n"
-        "  --engine-threads N,...engine worker threads per point"
-        " [1, 256]\n"
-        "                        (default 1; stats are byte-identical"
-        " for every N)\n"
-        "  --engine-scan M       full|active scan mode for every"
-        " point (default\n"
-        "                        active; results identical for both)\n"
-        "\n"
-        "scenario knobs:\n"
-        "  --baseline WxH        speedup baseline shape"
-        " (default: first --grid-size)\n"
-        "  --ruche-factor N      ruche hop distance [2, 64]"
-        " (default 2)\n"
-        "  --invoke-overhead N   extra cycles per task invocation\n"
-        "  --seed N              dataset/weight seed (default 1)\n"
-        "  --param K=V,...       kernel parameter overrides"
-        " (damping|iterations|epsilon);\n"
-        "                        keys a kernel does not use are"
-        " skipped\n"
-        "  --pagerank-iters N    deprecated alias for"
-        " --param iterations=N\n"
-        "  --quick / --full      stand-in scale for named datasets"
-        " (default quick)\n"
-        "  --validate            check every point against the"
-        " sequential reference\n"
-        "\n"
-        "execution and output:\n"
-        "  --threads N           total thread budget [1, 256]"
-        " (default: host\n"
-        "                        cores); splits into sweep workers x"
-        " the largest\n"
-        "                        --engine-threads value and must"
-        " cover it;\n"
-        "                        output is identical for every N\n"
-        "  --via SOCKET          submit the points to a running\n"
-        "                        `dalorex serve` daemon at this Unix\n"
-        "                        socket instead of running in-process\n"
-        "                        (output is byte-identical)\n"
-        "  --csv PATH            write the aggregate table as CSV\n"
-        "  --jsonl PATH          write one JSON object per row\n"
-        "\n"
-        "fault tolerance:\n"
-        "  --journal PATH        append one checksummed record per\n"
-        "                        row as it resolves; a killed sweep\n"
-        "                        resumes from it\n"
-        "  --resume PATH         replay a journal from an earlier run\n"
-        "                        of the same plan: completed rows are\n"
-        "                        not re-run and the merged output is\n"
-        "                        byte-identical to an uninterrupted\n"
-        "                        sweep\n"
-        "  --retries N           re-run transiently failing rows\n"
-        "                        (dataset I/O, timeouts) up to N\n"
-        "                        extra times [0, 16] (default 0)\n"
-        "  --retry-backoff-ms M  base backoff before a retry, doubled\n"
-        "                        per attempt with deterministic\n"
-        "                        jitter (default 250)\n"
-        "  --row-deadline-ms M   wall-clock budget per row; expired\n"
-        "                        rows fail with status timeout\n"
-        "                        instead of hanging the sweep\n"
-        "                        (default: none)\n"
-        "  --json                print JSON-lines to stdout instead"
-        " of the table\n"
-        "  --list-datasets       list the dataset names and exit\n"
-        "  --list-kernels        list the registered kernels and"
-        " exit\n"
-        "  --help                this text\n"
+        "scenario axes (V,... takes a comma list: one grid axis):\n" +
+        cli::axisUsage(true) +
+        cli::usageLine("--grid-size WxH,...",
+                       "machine shapes (default 4x4,8x8,16x16)") +
+        cli::usageLine("--barrier M", "off|on|both (default off)") +
+        cli::usageLine("--baseline WxH", "speedup baseline shape "
+                                         "(default: first --grid-size)") +
+        cli::usageLine("--quick / --full", "stand-in scale for named "
+                                           "datasets (default quick)") +
+        "\nexecution and output:\n" +
+        cli::usageLine("--threads N",
+                       "total thread budget [1, 256] (default: host "
+                       "cores); splits into sweep workers x the largest "
+                       "--engine-threads value and must cover it; output "
+                       "is identical for every N") +
+        cli::usageLine("--via SOCKET",
+                       "submit the points to a running `dalorex serve` "
+                       "daemon at this Unix socket instead of running "
+                       "in-process (output is byte-identical)") +
+        cli::usageLine("--csv PATH", "write the aggregate table as CSV") +
+        cli::usageLine("--jsonl PATH", "write one JSON object per row") +
+        "\nfault tolerance:\n" +
+        cli::usageLine("--journal PATH",
+                       "append one checksummed record per row as it "
+                       "resolves; a killed sweep resumes from it") +
+        cli::usageLine("--resume PATH",
+                       "replay a journal from an earlier run of the same "
+                       "plan: completed rows are not re-run and the "
+                       "merged output is byte-identical to an "
+                       "uninterrupted sweep") +
+        cli::usageLine("--retries N",
+                       "re-run transiently failing rows (dataset I/O, "
+                       "timeouts) up to N extra times [0, 16] (default "
+                       "0)") +
+        cli::usageLine("--retry-backoff-ms M",
+                       "base backoff before a retry, doubled per attempt "
+                       "with deterministic jitter (default 250)") +
+        cli::usageLine("--row-deadline-ms M",
+                       "wall-clock budget per row; expired rows fail with "
+                       "status timeout instead of hanging the sweep "
+                       "(default: none)") +
+        cli::usageLine("--json",
+                       "print JSON-lines to stdout instead of the table") +
+        cli::usageLine("--list-datasets", "list the dataset names and exit") +
+        cli::usageLine("--list-kernels",
+                       "list the registered kernels and exit") +
+        cli::usageLine("--help", "this text") +
         "\n"
         "examples:\n"
         "  dalorex sweep --kernel all --grid-size 4x4,8x8 --quick"
@@ -486,20 +372,8 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         err << "dalorex sweep: " << expanded.error << "\n";
         return 2;
     }
-    // Mirror the single-run CLI's advisory: points whose grid has
-    // fewer tiles than the threads axis value were clamped to one
-    // worker per shard during expansion.
-    unsigned min_tiles = ~0u;
-    for (const GridShape& grid : o.plan.grids)
-        min_tiles = std::min(min_tiles, grid.tiles());
-    for (const unsigned n : o.plan.engineThreads) {
-        if (!o.plan.grids.empty() && n > min_tiles) {
-            err << "dalorex sweep: --engine-threads values above a "
-                   "grid's tile count run clamped to one thread per "
-                   "shard on that grid\n";
-            break;
-        }
-    }
+    for (const std::string& note : expanded.notes)
+        err << "dalorex sweep: " << note << "\n";
 
     // Scenario identity: one hash per row over its canonical request
     // bytes and a plan hash over all of them. Journals bind to both,
@@ -686,7 +560,7 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         policy.cancel = &interrupted;
         policy.retries = o.retries;
         policy.backoffMs = o.retryBackoffMs;
-        policy.seed = o.plan.seed;
+        policy.seed = o.plan.base.seed;
         policy.rowDeadlineMs = o.rowDeadlineMs;
         policy.skip = skip;
         policy.onRow = record_row;

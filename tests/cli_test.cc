@@ -103,6 +103,13 @@ TEST(CliParse, RucheFactorDefaultsAndClears)
     r = parse({"--topology", "torus", "--ruche-factor", "4"});
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.options.machine.rucheFactor, 0u);
+
+    // 0 is serve's "unset" spelling and means the default here too;
+    // 1 is out of range.
+    r = parse({"--topology", "torus-ruche", "--ruche-factor", "0"});
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.options.machine.rucheFactor, 2u);
+    EXPECT_FALSE(parse({"--ruche-factor", "1"}).ok);
 }
 
 TEST(CliParse, RejectsUnknownFlag)
@@ -415,6 +422,31 @@ TEST(CliMain, TextReportMentionsKernelAndCycles)
     EXPECT_NE(out.find("WCC"), std::string::npos);
     EXPECT_NE(out.find("cycles"), std::string::npos);
     EXPECT_NE(out.find("energy"), std::string::npos);
+}
+
+TEST(CliMain, RucheFactorMustFitTheGridWidth)
+{
+    // A ruche hop as wide as the torus row cannot be built: a usage
+    // error (exit 2) instead of a fatal() in Topology.
+    std::string out;
+    std::string err;
+    EXPECT_EQ(runCli({"--width", "2", "--height", "2", "--topology",
+                      "torus-ruche"},
+                     out, err),
+              2);
+    EXPECT_NE(err.find("ruche factor 2"), std::string::npos) << err;
+    EXPECT_TRUE(out.empty()) << out;
+
+    EXPECT_FALSE(parse({"--width", "4", "--topology", "torus-ruche",
+                        "--ruche-factor", "4"})
+                     .ok);
+    EXPECT_TRUE(parse({"--width", "5", "--topology", "torus-ruche",
+                       "--ruche-factor", "4"})
+                    .ok);
+    // Other topologies drop the factor, so it never has to fit.
+    EXPECT_TRUE(
+        parse({"--width", "2", "--height", "2", "--ruche-factor", "4"})
+            .ok);
 }
 
 TEST(CliMain, BadFlagExitsNonZeroWithDiagnostic)

@@ -265,7 +265,7 @@ TEST(SweepDeterminism, JsonlByteIdenticalAcrossThreadCounts)
     plan.datasets = {{"", 8}};
     plan.grids = {{2, 2}, {4, 4}};
     plan.barriers = {false, true};
-    plan.seed = 23;
+    plan.base.seed = 23;
 
     const std::string serial = sweepJsonl(plan, 1);
     const std::string parallel = sweepJsonl(plan, 8);

@@ -5,12 +5,14 @@
  * requests), the priority + fair-share scheduler, the server core's
  * robustness (a bad line answers with `error` and the daemon keeps
  * serving), the byte-identity contract between serve-backed and
- * standalone runs, the warm dataset cache across requests, and the
- * socket transport end to end with `dalorex sweep --via`.
+ * standalone runs, the warm dataset cache across requests, the
+ * socket transport end to end with `dalorex sweep --via`, and the
+ * scenario axis table parsing every axis alike in all front ends.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -22,6 +24,7 @@
 #include <unistd.h>
 
 #include "cli/cli.hh"
+#include "cli/scenario.hh"
 #include "graph/dataset_cache.hh"
 #include "serve/client.hh"
 #include "serve/json.hh"
@@ -162,6 +165,37 @@ TEST(Protocol, RejectsBadRequestsWithRecoveredId)
     EXPECT_EQ(p.request.id, "r1");
     EXPECT_NE(p.error.find("ruche_factor"), std::string::npos);
 
+    // The cross-axis rules every front end shares (finishScenario): a
+    // grid no wider than its ruche factor, and a dataset scale on
+    // anything but a named stand-in, are refused up front.
+    for (const char* line :
+         {R"({"type":"run","id":"x1","width":2,"height":2,)"
+          R"("topology":"torus-ruche"})",
+          R"({"type":"run","id":"x1","width":4,)"
+          R"("topology":"torus-ruche","ruche_factor":4})",
+          R"({"type":"run","id":"x1","dataset":"rmat8",)"
+          R"("dataset_scale":10})",
+          R"({"type":"run","id":"x1","scale":6,"dataset_scale":9})",
+          R"({"type":"run","id":"x1","dataset":"file:g.dlx",)"
+          R"("dataset_scale":9})"}) {
+        p = parseRequestLine(line);
+        EXPECT_FALSE(p.ok) << line;
+        EXPECT_EQ(p.request.id, "x1") << line;
+        EXPECT_EQ(p.error.find('\n'), std::string::npos) << p.error;
+    }
+
+    // Wrong JSON kinds and non-integer numbers name the field.
+    for (const auto& [line, field] :
+         std::vector<std::pair<const char*, const char*>>{
+             {R"({"type":"run","id":"k1","width":"4"})", "width"},
+             {R"({"type":"run","id":"k1","topology":3})", "topology"},
+             {R"({"type":"run","id":"k1","barrier":"yes"})", "barrier"},
+             {R"({"type":"run","id":"k1","width":4.5})", "width"}}) {
+        p = parseRequestLine(line);
+        EXPECT_FALSE(p.ok) << line;
+        EXPECT_NE(p.error.find(field), std::string::npos) << p.error;
+    }
+
     // Oversized line: refused, id recovered from the prefix.
     std::string big = R"({"type":"run","id":"big1","params":")";
     big += std::string(maxRequestBytes, 'x');
@@ -170,6 +204,24 @@ TEST(Protocol, RejectsBadRequestsWithRecoveredId)
     EXPECT_FALSE(p.ok);
     EXPECT_EQ(p.request.id, "big1");
     EXPECT_NE(p.error.find("exceeds"), std::string::npos);
+}
+
+TEST(Protocol, EmptyAndZeroSpellingsLeaveAxesUnset)
+{
+    const ParsedRequest p = parseRequestLine(
+        R"({"type":"run","id":"u1","kernel":"","dataset":"",)"
+        R"("topology":"","policy":"","distribution":"",)"
+        R"("engine_scan":"","params":"","ruche_factor":0,)"
+        R"("dataset_scale":0,"max_cycles":0,"deadline_ms":0})");
+    ASSERT_TRUE(p.ok) << p.error;
+    EXPECT_EQ(renderRunRequest(p.request.options, "u1", "anon"),
+              renderRunRequest(cli::Options{}, "u1", "anon"));
+
+    const ParsedRequest scaled = parseRequestLine(
+        R"({"type":"run","id":"u2","dataset":"amazon",)"
+        R"("dataset_scale":9})");
+    ASSERT_TRUE(scaled.ok) << scaled.error;
+    EXPECT_EQ(scaled.request.options.datasetScale, 9u);
 }
 
 TEST(Protocol, RenderParseRoundTripPreservesScenario)
@@ -208,6 +260,60 @@ TEST(Protocol, RenderParseRoundTripPreservesScenario)
     EXPECT_EQ(p.request.client, "tester");
 }
 
+// renderRunRequest's bytes are pointHash's input: the sweep journal
+// and the serve journal key rows by them, so any change here orphans
+// every journal already written. Pin them literally.
+TEST(Protocol, RenderRunRequestBytesArePinnedForDefaults)
+{
+    EXPECT_EQ(
+        renderRunRequest(cli::Options{}, "d1", "anon"),
+        R"({"type":"run","id":"d1","client":"anon","priority":0,)"
+        R"("kernel":"bfs","dataset":"","scale":12,"dataset_scale":0,)"
+        R"("width":16,"height":16,"topology":"torus","ruche_factor":0,)"
+        R"("policy":"traffic-aware","distribution":"low-order",)"
+        R"("barrier":false,"invoke_overhead":0,"max_cycles":0,)"
+        R"("engine_threads":1,"engine_scan":"active",)"
+        R"("scratchpad_bytes":0,"seed":1,"validate":false})");
+}
+
+TEST(Protocol, RenderRunRequestBytesArePinnedForEveryField)
+{
+    cli::Options o;
+    ASSERT_TRUE(cli::parseKernel("sssp", o.kernel));
+    o.dataset = "amazon";
+    o.scale = 9;
+    o.datasetScale = 13;
+    o.machine.width = 8;
+    o.machine.height = 4;
+    o.machine.topology = NocTopology::torusRuche;
+    o.machine.rucheFactor = 3;
+    o.machine.policy = SchedPolicy::roundRobin;
+    o.machine.distribution = Distribution::highOrder;
+    o.machine.barrier = true;
+    o.machine.invokeOverhead = 50;
+    o.machine.maxCycles = 123456;
+    o.machine.engineThreads = 4;
+    o.machine.engineScan = EngineScan::full;
+    o.machine.scratchpadProvisionBytes = 4096;
+    o.params = {{"damping", 0.9}, {"iterations", 12.0},
+                {"epsilon", 1e-5}};
+    o.seed = 42;
+    o.validate = true;
+    o.deadlineMs = 750;
+    EXPECT_EQ(
+        renderRunRequest(o, "full-1", "alice", -3),
+        R"({"type":"run","id":"full-1","client":"alice","priority":-3,)"
+        R"("kernel":"sssp","dataset":"amazon","scale":9,)"
+        R"("dataset_scale":13,"width":8,"height":4,)"
+        R"("topology":"torus-ruche","ruche_factor":3,)"
+        R"("policy":"round-robin","distribution":"high-order",)"
+        R"("barrier":true,"invoke_overhead":50,"max_cycles":123456,)"
+        R"("engine_threads":4,"engine_scan":"full",)"
+        R"("scratchpad_bytes":4096,)"
+        R"("params":"damping=0.9,iterations=12,epsilon=1e-05",)"
+        R"("seed":42,"validate":true,"deadline_ms":750})");
+}
+
 TEST(Protocol, ResultPayloadExtractionIsExact)
 {
     const std::string payload =
@@ -218,6 +324,157 @@ TEST(Protocol, ResultPayloadExtractionIsExact)
     EXPECT_EQ(back, payload);
 
     EXPECT_FALSE(extractResultPayload("{\"type\":\"error\"}", back));
+}
+
+// --- the scenario axis table ----------------------------------------
+
+/** A non-default value for one axis, plus the axes it needs set. */
+struct AxisSample
+{
+    const char* axis;  //!< the row's flag, or its key when flagless
+    const char* value; //!< argv text form ("true" for a bare flag)
+    std::vector<const char*> contextFlags; //!< CLI/sweep context
+    const char* contextFields;             //!< the same as request JSON
+};
+
+/** One sample per table row; a new row without one fails below. */
+const std::vector<AxisSample>&
+axisSamples()
+{
+    static const std::vector<AxisSample> samples = {
+        {"--kernel", "pagerank", {}, ""},
+        {"--dataset", "amazon", {}, ""},
+        {"--scale", "9", {}, ""},
+        {"dataset_scale", "13", {}, R"("dataset":"amazon",)"},
+        {"--width", "8", {}, ""},
+        {"--height", "4", {}, ""},
+        {"--topology", "mesh", {}, ""},
+        {"--ruche-factor", "3", {"--topology", "torus-ruche"},
+         R"("topology":"torus-ruche",)"},
+        {"--policy", "round-robin", {}, ""},
+        {"--distribution", "high-order", {}, ""},
+        {"--barrier", "true", {}, ""},
+        {"--invoke-overhead", "50", {}, ""},
+        {"--max-cycles", "123456", {}, ""},
+        {"--engine-threads", "4", {}, ""},
+        {"--engine-scan", "full", {}, ""},
+        {"scratchpad_bytes", "4096", {}, ""},
+        {"--param", "damping=0.9,iterations=12", {}, ""},
+        {"--pagerank-iters", "7", {}, ""},
+        {"--seed", "42", {}, ""},
+        {"--validate", "true", {}, ""},
+        {"--deadline-ms", "750", {}, ""},
+    };
+    return samples;
+}
+
+/** A request's scenario bytes: the canonical Options comparison. */
+std::string
+scenarioBytes(const cli::Options& options)
+{
+    return renderRunRequest(options, "", "");
+}
+
+/** The request for `sample`, or "" when the row has no key. */
+std::string
+sampleRequest(const cli::Axis& axis, const AxisSample& sample)
+{
+    const std::string value = axis.kind == cli::JsonKind::string
+                                  ? jsonQuote(sample.value)
+                                  : std::string(sample.value);
+    return std::string(R"({"type":"run","id":"a1",)") +
+           sample.contextFields + "\"" + axis.key + "\":" + value + "}";
+}
+
+TEST(ScenarioAxes, EveryFrontEndParsesEveryAxisAlike)
+{
+    const std::string cli_help = cli::usageText();
+    const std::string sweep_help = sweep::sweepUsageText();
+    for (const cli::Axis& axis : cli::scenarioAxes()) {
+        const std::string name = axis.flag != nullptr ? axis.flag
+                                                      : axis.key;
+        const auto sample = std::find_if(
+            axisSamples().begin(), axisSamples().end(),
+            [&name](const AxisSample& x) { return name == x.axis; });
+        ASSERT_NE(sample, axisSamples().end())
+            << name << " has no sample value";
+        SCOPED_TRACE(name + " " + sample->value);
+
+        // The reference: the CLI for rows with a flag, the request
+        // for key-only rows.
+        std::string expected;
+        std::string context;
+        if (axis.flag != nullptr) {
+            std::vector<const char*> args = {"dalorex"};
+            args.insert(args.end(), sample->contextFlags.begin(),
+                        sample->contextFlags.end());
+            const cli::ParseResult bare = cli::parseArgs(
+                static_cast<int>(args.size()), args.data());
+            ASSERT_TRUE(bare.ok) << bare.error;
+            context = scenarioBytes(bare.options);
+            args.push_back(axis.flag);
+            if (axis.arg != nullptr)
+                args.push_back(sample->value);
+            const cli::ParseResult parsed = cli::parseArgs(
+                static_cast<int>(args.size()), args.data());
+            ASSERT_TRUE(parsed.ok) << parsed.error;
+            expected = scenarioBytes(parsed.options);
+            EXPECT_NE(cli_help.find(axis.flag), std::string::npos);
+
+            // CLI options survive the wire unchanged.
+            const ParsedRequest wire = parseRequestLine(
+                renderRunRequest(parsed.options, "w1", "anon"));
+            ASSERT_TRUE(wire.ok) << wire.error;
+            EXPECT_EQ(scenarioBytes(wire.request.options), expected);
+        } else {
+            const ParsedRequest bare = parseRequestLine(
+                std::string(R"({"type":"run","id":"a0",)") +
+                sample->contextFields + R"("seed":1})");
+            ASSERT_TRUE(bare.ok) << bare.error;
+            context = scenarioBytes(bare.request.options);
+            cli::Options o = bare.request.options;
+            std::string err;
+            ASSERT_TRUE(axis.parse(axis.key, sample->value, o, err))
+                << err;
+            ASSERT_TRUE(cli::finishScenario(o).ok);
+            expected = scenarioBytes(o);
+        }
+        EXPECT_NE(expected, context) << "the sample is a default";
+
+        if (axis.key != nullptr) {
+            const ParsedRequest request =
+                parseRequestLine(sampleRequest(axis, *sample));
+            ASSERT_TRUE(request.ok) << request.error;
+            EXPECT_EQ(scenarioBytes(request.request.options), expected);
+        }
+
+        if (axis.sweep != cli::SweepTakes::none) {
+            // Pin the axes whose sweep defaults differ from the CLI's,
+            // except the one under test.
+            std::vector<const char*> args = {"sweep", "--full",
+                                             "--grid-size", "16x16"};
+            if (name != "--kernel")
+                args.insert(args.end(), {"--kernel", "bfs"});
+            if (name != "--scale" && name != "--dataset")
+                args.insert(args.end(), {"--scale", "12"});
+            args.insert(args.end(), sample->contextFlags.begin(),
+                        sample->contextFlags.end());
+            args.push_back(axis.flag);
+            if (axis.arg != nullptr)
+                args.push_back(sample->value);
+            const sweep::SweepParseResult parsed = sweep::parseSweepArgs(
+                static_cast<int>(args.size()), args.data());
+            ASSERT_TRUE(parsed.ok) << parsed.error;
+            const sweep::ExpandResult expanded =
+                sweep::expand(parsed.options.plan);
+            ASSERT_TRUE(expanded.ok) << expanded.error;
+            ASSERT_EQ(expanded.points.size(), 1u);
+            EXPECT_EQ(scenarioBytes(expanded.points[0]), expected);
+            EXPECT_NE(sweep_help.find(axis.flag), std::string::npos);
+        }
+    }
+    EXPECT_EQ(axisSamples().size(), cli::scenarioAxes().size())
+        << "a sample names no table row";
 }
 
 // --- scheduler -------------------------------------------------------
@@ -473,6 +730,9 @@ TEST(ServerCore, BadLinesGetErrorsAndTheDaemonKeepsServing)
     big += std::string(maxRequestBytes, 'x');
     big += "\"}";
     server.handleLine(conn, big);
+    // A ruche factor as wide as the grid used to fatal() the daemon.
+    server.handleLine(conn, runLine("narrow-ruche",
+                                    ",\"topology\":\"torus-ruche\""));
     server.handleLine(conn, runLine("ok-after-errors"));
     server.handleLine(conn, R"({"type":"shutdown","id":"q"})");
     server.serve(); // drains the accepted run, then returns
@@ -482,6 +742,8 @@ TEST(ServerCore, BadLinesGetErrorsAndTheDaemonKeepsServing)
     EXPECT_TRUE(capture.findLine("error", "bad-kernel", line));
     EXPECT_NE(line.find("unknown kernel"), std::string::npos);
     EXPECT_TRUE(capture.findLine("error", "too-big", line));
+    EXPECT_TRUE(capture.findLine("error", "narrow-ruche", line));
+    EXPECT_NE(line.find("ruche factor 2"), std::string::npos) << line;
     EXPECT_TRUE(capture.findLine("accepted", "ok-after-errors", line));
     EXPECT_TRUE(capture.findLine("result", "ok-after-errors", line));
     EXPECT_TRUE(capture.findLine("accepted", "q", line));

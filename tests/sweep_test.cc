@@ -38,7 +38,7 @@ miniPlan()
     plan.kernels = {kernelOrDie("bfs"), kernelOrDie("wcc")};
     plan.datasets = {{"", 8}};
     plan.grids = {{2, 2}, {4, 4}};
-    plan.seed = 3;
+    plan.base.seed = 3;
     return plan;
 }
 
@@ -145,8 +145,9 @@ TEST(Expand, MissingBaselineIsACleanError)
 TEST(Expand, RucheFactorAppliesOnlyToRucheTopology)
 {
     Plan plan = miniPlan();
+    plan.grids = {{8, 8}, {16, 16}}; // wider than the factor
     plan.topologies = {NocTopology::torus, NocTopology::torusRuche};
-    plan.rucheFactor = 4;
+    plan.base.machine.rucheFactor = 4;
     const ExpandResult result = expand(plan);
     ASSERT_TRUE(result.ok) << result.error;
     for (const cli::Options& o : result.points) {
@@ -155,6 +156,15 @@ TEST(Expand, RucheFactorAppliesOnlyToRucheTopology)
         else
             EXPECT_EQ(o.machine.rucheFactor, 0u);
     }
+
+    // A grid no wider than the factor cannot be built: the whole plan
+    // is refused up front instead of a worker dying mid-sweep.
+    plan.grids = {{2, 2}, {4, 4}};
+    const ExpandResult narrow = expand(plan);
+    EXPECT_FALSE(narrow.ok);
+    EXPECT_NE(narrow.error.find("ruche factor 4"), std::string::npos)
+        << narrow.error;
+    EXPECT_EQ(narrow.error.find('\n'), std::string::npos);
 }
 
 TEST(Pool, CoversEveryIndexExactlyOnce)
@@ -206,7 +216,7 @@ TEST(RunAggregate, ScaledDatasetVariantsGroupSeparately)
     plan.kernels = {kernelOrDie("bfs")};
     plan.datasets = {{"amazon", 5}, {"amazon", 6}};
     plan.grids = {{1, 1}, {2, 2}};
-    plan.seed = 3;
+    plan.base.seed = 3;
 
     const RunResult result = run(plan, 2);
     ASSERT_TRUE(result.ok) << result.error;
@@ -394,6 +404,19 @@ TEST(SweepMain, RejectsBadGridAndUnknownDataset)
     EXPECT_NE(err.find("8x8"), std::string::npos);
 }
 
+TEST(SweepMain, NarrowRucheGridIsRefusedBeforeAnyRowRuns)
+{
+    std::string out;
+    std::string err;
+    EXPECT_EQ(runSweep({"--grid-size", "2x2,4x4", "--topology",
+                        "torus-ruche", "--kernel", "bfs", "--scale",
+                        "6"},
+                       out, err),
+              2);
+    EXPECT_NE(err.find("ruche factor 2"), std::string::npos) << err;
+    EXPECT_TRUE(out.empty()) << out;
+}
+
 TEST(Expand, EngineThreadsAxisMultipliesPoints)
 {
     Plan plan = miniPlan();
@@ -437,7 +460,7 @@ TEST(RunAggregate, EngineThreadsAxisChangesNothingButTheColumn)
     plan.datasets = {{"", 8}};
     plan.grids = {{4, 4}};
     plan.engineThreads = {1, 4};
-    plan.seed = 3;
+    plan.base.seed = 3;
     const RunResult result = run(plan, 1);
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_TRUE(result.allRowsOk());
@@ -473,15 +496,15 @@ TEST(SweepParse, EngineThreadsAndParamFlags)
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const Plan& plan = parsed.options.plan;
     EXPECT_EQ(plan.engineThreads, (std::vector<unsigned>{1, 4}));
-    EXPECT_EQ(plan.engineScan, EngineScan::full);
-    ASSERT_EQ(plan.params.size(), 3u);
-    EXPECT_EQ(plan.params[0].name, "damping");
-    EXPECT_DOUBLE_EQ(plan.params[0].value, 0.9);
-    EXPECT_EQ(plan.params[1].name, "iterations");
-    EXPECT_DOUBLE_EQ(plan.params[1].value, 20.0);
+    EXPECT_EQ(plan.base.machine.engineScan, EngineScan::full);
+    ASSERT_EQ(plan.base.params.size(), 3u);
+    EXPECT_EQ(plan.base.params[0].name, "damping");
+    EXPECT_DOUBLE_EQ(plan.base.params[0].value, 0.9);
+    EXPECT_EQ(plan.base.params[1].name, "iterations");
+    EXPECT_DOUBLE_EQ(plan.base.params[1].value, 20.0);
     // --pagerank-iters survives as a deprecated --param alias.
-    EXPECT_EQ(plan.params[2].name, "iterations");
-    EXPECT_DOUBLE_EQ(plan.params[2].value, 7.0);
+    EXPECT_EQ(plan.base.params[2].name, "iterations");
+    EXPECT_DOUBLE_EQ(plan.base.params[2].value, 7.0);
 
     std::string out;
     std::string err;
@@ -515,16 +538,29 @@ TEST(SweepParse, RejectsUnknownOptions)
 
 TEST(SweepMain, EngineThreadsAboveGridTilesRunsClampedWithNote)
 {
+    // The clamp gives one --engine-threads value 4 threads on the 2x2
+    // grid and 16 on the 4x4; both rows still share one baseline.
     std::string out;
     std::string err;
     const int code = runSweep({"--kernel", "bfs", "--grid-size",
-                               "2x2", "--scale", "7",
+                               "2x2,4x4", "--scale", "7",
                                "--engine-threads", "16", "--threads",
                                "16", "--json"},
                               out, err);
     EXPECT_EQ(code, 0) << err;
     EXPECT_NE(err.find("clamped"), std::string::npos);
-    EXPECT_NE(out.find("\"engine_threads\":4"), std::string::npos);
+    std::istringstream jsonl(out);
+    std::string small;
+    std::string large;
+    ASSERT_TRUE(std::getline(jsonl, small));
+    ASSERT_TRUE(std::getline(jsonl, large));
+    EXPECT_NE(small.find("\"engine_threads\":4"), std::string::npos);
+    EXPECT_NE(large.find("\"engine_threads\":16"), std::string::npos);
+    for (const std::string& row : {small, large}) {
+        EXPECT_NE(row.find("\"speedup\":"), std::string::npos) << row;
+        EXPECT_EQ(row.find("\"speedup\":null"), std::string::npos)
+            << row;
+    }
 }
 
 TEST(SweepParse, RepeatedAxisFlagsAppendConsistently)
@@ -559,7 +595,7 @@ TEST(RunAggregate, WorkersShareOneDatasetBuild)
     plan.kernels = {kernelOrDie("bfs"), kernelOrDie("wcc")};
     plan.datasets = {{"", 8}};
     plan.grids = {{2, 2}, {4, 4}};
-    plan.seed = 3;
+    plan.base.seed = 3;
     const RunResult result = run(expand(plan), 4);
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_TRUE(result.allRowsOk());
@@ -631,7 +667,7 @@ TEST(SweepMain, FileDatasetMatchesItsGeneratedTwin)
     Plan plan;
     plan.kernels = {kernelOrDie("bfs")};
     plan.grids = {{2, 2}};
-    plan.seed = 3;
+    plan.base.seed = 3;
     plan.datasets = {{"rmat8", 0}, {file_name, 0}};
     const RunResult result = run(expand(plan), 1);
     ASSERT_TRUE(result.ok) << result.error;

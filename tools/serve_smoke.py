@@ -6,9 +6,12 @@ over the wire, runs it once via the standalone CLI, and asserts:
 
   1. the daemon's result payload is byte-identical to `dalorex --json`
      stdout (the serve contract ISSUE/README promise);
-  2. the second request for the same dataset triggers zero additional
+  2. a torus-ruche request on a grid no wider than its ruche factor,
+     sent between the two runs, gets an `error` response and the
+     daemon keeps serving;
+  3. the second request for the same dataset triggers zero additional
      dataset-cache builds (the warm-cache contract);
-  3. a `stats` request answers with sane queue/client counters.
+  4. a `stats` request answers with sane queue/client counters.
 
 The stats response is written to --out (serve_stats.json) so CI keeps
 one artifact tracking daemon health per run.
@@ -124,14 +127,28 @@ def main():
         print("serve_smoke: daemon result byte-identical to "
               "standalone run")
 
-        # 2. Same scenario again: the dataset must come from cache.
+        # 2. A ruche factor (default 2) as wide as the 2x2 grid cannot
+        # be built: the daemon answers `error` and keeps serving.
+        channel.send({"type": "run", "id": "smoke-narrow",
+                      **SCENARIO_FIELDS, "width": 2, "height": 2,
+                      "topology": "torus-ruche"})
+        narrow_line = channel.recv_line()
+        narrow = json.loads(narrow_line)
+        if narrow.get("type") != "error" or \
+                narrow.get("id") != "smoke-narrow":
+            sys.exit("serve_smoke: narrow torus-ruche request was not "
+                     f"refused: {narrow_line}")
+        print(f"serve_smoke: narrow torus-ruche grid refused: "
+              f"{narrow['error']}")
+
+        # 3. Same scenario again: the dataset must come from cache.
         channel.send({"type": "run", "id": "smoke2", **SCENARIO_FIELDS})
         repeat = result_payload(channel.wait_result("smoke2"), "smoke2")
         if repeat != payload:
             sys.exit("serve_smoke: repeated request returned a "
                      "different report")
 
-        # 3. Stats: cache shows one build + one hit for the scenario.
+        # 4. Stats: cache shows one build + one hit for the scenario.
         channel.send({"type": "stats", "id": "smoke-stats"})
         stats_line = channel.recv_line()
         stats = json.loads(stats_line)
@@ -152,7 +169,7 @@ def main():
         print(f"serve_smoke: dataset cache {cache['builds']} build, "
               f"{cache['hits']} hit(s) -> {opts.out}")
 
-        # 4. Clean shutdown drains and exits 0.
+        # 5. Clean shutdown drains and exits 0.
         channel.send({"type": "shutdown", "id": "smoke-bye"})
         channel.recv_line()  # accepted
         code = daemon.wait(timeout=30)
