@@ -6,8 +6,8 @@
 #include "apps/graph_app.hh"
 #include "cli/cli.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/table.hh"
-#include "sweep/pool.hh"
 
 namespace dalorex
 {
@@ -57,7 +57,7 @@ BenchOptions::parse(int argc, char** argv)
 unsigned
 BenchOptions::workerThreads() const
 {
-    return threads > 0 ? threads : sweep::defaultWorkerThreads();
+    return threads > 0 ? threads : defaultWorkerThreads();
 }
 
 const char*

@@ -78,7 +78,7 @@ main(int argc, char** argv)
             if (p->grids.empty())
                 continue;
             const sweep::RunResult run =
-                sweep::run(*p, opts.workerThreads());
+                sweep::run(sweep::expand(*p), opts.workerThreads());
             fatal_if(!run.ok, "fig6 sweep: ", run.error);
             fatal_if(!run.allRowsOk(), "fig6 sweep: ",
                      run.rowErrors().front());

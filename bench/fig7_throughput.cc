@@ -48,7 +48,7 @@ main(int argc, char** argv)
     std::vector<cli::Report> reports;
     {
         const sweep::RunResult run =
-            sweep::run(plan, opts.workerThreads());
+            sweep::run(sweep::expand(plan), opts.workerThreads());
         fatal_if(!run.ok, "fig7 sweep: ", run.error);
         fatal_if(!run.allRowsOk(), "fig7 sweep: ",
                  run.rowErrors().front());
@@ -61,7 +61,7 @@ main(int argc, char** argv)
         ruche.topologies = {NocTopology::torusRuche};
         ruche.base.machine.rucheFactor = 4;
         const sweep::RunResult run =
-            sweep::run(ruche, opts.workerThreads());
+            sweep::run(sweep::expand(ruche), opts.workerThreads());
         fatal_if(!run.ok, "fig7 sweep: ", run.error);
         fatal_if(!run.allRowsOk(), "fig7 sweep: ",
                  run.rowErrors().front());

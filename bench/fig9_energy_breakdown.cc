@@ -59,7 +59,7 @@ main(int argc, char** argv)
     std::vector<cli::Report> reports;
     for (const sweep::Plan* p : {&plan, &big}) {
         const sweep::RunResult run =
-            sweep::run(*p, opts.workerThreads());
+            sweep::run(sweep::expand(*p), opts.workerThreads());
         fatal_if(!run.ok, "fig9 sweep: ", run.error);
         fatal_if(!run.allRowsOk(), "fig9 sweep: ",
                  run.rowErrors().front());

@@ -242,20 +242,8 @@ failRun(RunOutcome outcome, const std::string& message)
 } // namespace
 
 RunOutcome
-runScenario(const Options& options)
-{
-    return runScenario(options, nullptr);
-}
-
-RunOutcome
-runScenario(const Options& options, EngineArenas* pool)
-{
-    return runScenario(options, pool, nullptr);
-}
-
-RunOutcome
 runScenario(const Options& options, EngineArenas* pool,
-            RunControl* control)
+            RunControl control)
 {
     RunOutcome outcome;
     Report& report = outcome.report;
@@ -299,26 +287,16 @@ runScenario(const Options& options, EngineArenas* pool,
     Machine machine(options.machine, setup.graph.numVertices,
                     setup.graph.numEdges, pool);
 
-    // The caller's RunControl (cancel propagation) or a local one;
-    // a nonzero deadline arms the process-wide watchdog on it either
-    // way, so `--deadline-ms` works for every entry point.
-    RunControl local_control;
-    RunControl* ctl = control != nullptr ? control : &local_control;
-    std::uint64_t watchdog_token = 0;
-    if (options.deadlineMs > 0)
-        watchdog_token = processDeadlineWatchdog().arm(
-            std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(options.deadlineMs),
-            &ctl->expired);
-
     const auto engine_start = std::chrono::steady_clock::now();
-    report.stats = machine.run(*app, ctl);
+    if (options.deadlineMs > 0)
+        control.deadline =
+            std::min(control.deadline,
+                     deadlineAfter(engine_start, options.deadlineMs));
+    report.stats = machine.run(*app, &control);
     report.engineWallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - engine_start)
             .count();
-    if (watchdog_token != 0)
-        processDeadlineWatchdog().disarm(watchdog_token);
 
     // Derived quantities are computed even for an early-unwound run:
     // the partial report is the payload a timed-out serve request

@@ -47,12 +47,13 @@ struct Options
     std::uint64_t seed = 1;   //!< dataset/weight seed
     /**
      * Wall-clock budget for the engine run in milliseconds (0 =
-     * none). The process-wide DeadlineWatchdog arms when the run
-     * starts; expiry unwinds the engine at a cycle boundary with
-     * RunStatus::timeout instead of the run hanging or being killed.
-     * A run-control knob, not scenario identity: it is never rendered
-     * into reports, so a completed run's bytes are identical with or
-     * without a deadline.
+     * none), counted from engine start. The engine reads the clock
+     * itself and notices expiry within 64 stepped cycles, unwinding
+     * at a cycle boundary with RunStatus::timeout instead of the run
+     * hanging or being killed; a budget too large for the clock
+     * means no deadline. A run-control knob, not scenario identity:
+     * it is never rendered into reports, so a completed run's bytes
+     * are identical with or without a deadline.
      */
     std::uint64_t deadlineMs = 0;
     bool json = false;        //!< emit JSON instead of text
@@ -173,26 +174,23 @@ struct RunOutcome
  * mismatches under options.validate come back as ok == false with a
  * one-line diagnostic instead of killing the process, so one bad
  * point fails its own sweep row, not the whole grid.
- */
-RunOutcome runScenario(const Options& options);
-
-/**
- * Same, recycling the engine's queue arenas through `pool` (see
- * EngineArenas). Long-lived callers — `dalorex serve`, sweep workers —
+ *
+ * `pool` (may be nullptr) recycles the engine's queue arenas (see
+ * EngineArenas): long-lived callers — `dalorex serve`, sweep workers —
  * pass one pool per worker so back-to-back runs reuse the grown
  * allocations; results are byte-identical either way.
+ *
+ * `control` is read by the engine's serial tail: a set cancel flag
+ * unwinds the run as cancelled, a passed deadline as a timeout — both
+ * at a cycle boundary, with the partial report filled. A nonzero
+ * options.deadlineMs adds a deadline that many milliseconds after the
+ * engine starts (the earlier of the two wins); the engine reads the
+ * clock itself and notices expiry within 64 stepped cycles, and a
+ * budget too large for the clock means no deadline.
  */
-RunOutcome runScenario(const Options& options, EngineArenas* pool);
-
-/**
- * Same, under cooperative run control. `control` (may be nullptr) is
- * polled by the engine's serial tail: an externally set cancel flag
- * unwinds the run as cancelled, and options.deadlineMs (or a watchdog
- * the caller armed on control->expired itself) unwinds it as a
- * timeout — both at a cycle boundary, with the partial report filled.
- */
-RunOutcome runScenario(const Options& options, EngineArenas* pool,
-                       RunControl* control);
+RunOutcome runScenario(const Options& options,
+                       EngineArenas* pool = nullptr,
+                       RunControl control = {});
 
 /** Render a report as a single valid JSON object (with newline). */
 std::string renderJson(const Report& report);

@@ -296,9 +296,11 @@ buildAxes()
         // without one.
         number({.flag = "--deadline-ms", .key = "deadline_ms", .arg = "N",
                 .usage = "wall-clock budget for the engine run (0 = "
-                         "none): a watchdog thread expires it and the "
-                         "run unwinds with status \"timeout\" at a cycle "
-                         "boundary",
+                         "none): the engine reads the clock itself, "
+                         "notices expiry within 64 stepped cycles and "
+                         "unwinds with status \"timeout\" at a cycle "
+                         "boundary; a budget too large for the clock "
+                         "means no deadline",
                 .render = [](const Options& o) -> Text {
                     if (o.deadlineMs == 0)
                         return std::nullopt;

@@ -1,6 +1,8 @@
 #include "common/parallel.hh"
 
 #include <algorithm>
+#include <limits>
+#include <thread>
 #include <vector>
 
 namespace dalorex
@@ -64,78 +66,43 @@ PhaseBarrier::arriveAndWait(unsigned member, const SerialFn* serial)
     barrier_.arrive_and_wait();
 }
 
-DeadlineWatchdog::~DeadlineWatchdog()
+std::chrono::steady_clock::time_point
+deadlineAfter(std::chrono::steady_clock::time_point start,
+              std::uint64_t ms)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable())
-        thread_.join();
+    using Clock = std::chrono::steady_clock;
+    // Whole milliseconds left before the clock's last representable
+    // instant; a budget reaching past it cannot be added to `start`.
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - start)
+            .count();
+    if (ms >= static_cast<std::uint64_t>(headroom))
+        return Clock::time_point::max();
+    return start +
+           std::chrono::milliseconds(static_cast<std::int64_t>(ms));
 }
 
 std::uint64_t
-DeadlineWatchdog::arm(Clock::time_point when, std::atomic<bool>* flag)
+retryBackoffMs(std::uint64_t baseMs, unsigned retry)
 {
-    std::uint64_t token = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        token = nextToken_++;
-        entries_[token] = Entry{when, flag};
-        if (!thread_.joinable())
-            thread_ = std::thread([this] { loop(); });
-    }
-    cv_.notify_all();
-    return token;
+    constexpr std::uint64_t most =
+        std::numeric_limits<std::uint64_t>::max();
+    const unsigned shift = std::min(retry, 16u);
+    return baseMs > (most >> shift) ? most : baseMs << shift;
 }
 
 void
-DeadlineWatchdog::disarm(std::uint64_t token)
+backoffSleep(std::uint64_t ms, const std::atomic<bool>* stop)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.erase(token);
-    // No wake needed: the loop re-checks the earliest deadline after
-    // every timed wait, and a stale early wake-up is harmless.
-}
-
-std::size_t
-DeadlineWatchdog::armed() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-void
-DeadlineWatchdog::loop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        if (stop_)
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point until = deadlineAfter(Clock::now(), ms);
+    while (Clock::now() < until) {
+        if (stop != nullptr && stop->load())
             return;
-        const Clock::time_point now = Clock::now();
-        Clock::time_point earliest = Clock::time_point::max();
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->second.when <= now) {
-                it->second.flag->store(true, std::memory_order_release);
-                it = entries_.erase(it);
-            } else {
-                earliest = std::min(earliest, it->second.when);
-                ++it;
-            }
-        }
-        if (earliest == Clock::time_point::max())
-            cv_.wait(lock);
-        else
-            cv_.wait_until(lock, earliest);
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::min<std::uint64_t>(ms, 10)));
     }
-}
-
-DeadlineWatchdog&
-processDeadlineWatchdog()
-{
-    static DeadlineWatchdog watchdog;
-    return watchdog;
 }
 
 } // namespace dalorex

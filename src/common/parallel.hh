@@ -2,8 +2,9 @@
  * @file
  * Shared worker-thread machinery: fork-join SPMD sessions for the
  * cycle engine and the serve daemon, an indexed pool built on them for
- * embarrassingly parallel index spaces (the sweep orchestrator), and
- * the engine's phase barrier.
+ * embarrassingly parallel index spaces (the sweep orchestrator), the
+ * engine's phase barrier, and the saturating wall-clock arithmetic
+ * behind run deadlines and retry backoff.
  *
  * It lives below src/sim and src/sweep so the simulation engine and
  * the sweep layer draw workers from one abstraction — `--threads N`
@@ -17,13 +18,9 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <thread>
 
 namespace dalorex
 {
@@ -116,62 +113,31 @@ class PhaseBarrier
 };
 
 /**
- * A monotonic-clock deadline watchdog: arm() registers an atomic flag
- * to be set once std::chrono::steady_clock passes `when`; disarm()
- * withdraws it (the common case — the run finished in time). One
- * background thread, started lazily on the first arm, sleeps until
- * the earliest armed deadline, so an idle watchdog costs nothing and
- * a process full of deadline-carrying runs costs one thread total.
- *
- * The flag outlives the engine poll site that reads it: the engine's
- * serial tail checks it once per cycle, so expiry unwinds the run
- * within one simulated cycle of wall work. Callers must disarm before
- * destroying the flag.
+ * The steady-clock instant `ms` milliseconds after `start` (a clock
+ * reading), saturating: a budget too large for steady_clock to
+ * represent yields time_point::max(), which every user reads as "no
+ * deadline" rather than overflowing std::chrono's arithmetic. Every
+ * wall-clock budget goes through it: run deadlines (`--deadline-ms`,
+ * `--row-deadline-ms`, a serve request's `deadline_ms`) and retry
+ * backoff sleeps.
  */
-class DeadlineWatchdog
-{
-  public:
-    using Clock = std::chrono::steady_clock;
-
-    DeadlineWatchdog() = default;
-    ~DeadlineWatchdog();
-
-    DeadlineWatchdog(const DeadlineWatchdog&) = delete;
-    DeadlineWatchdog& operator=(const DeadlineWatchdog&) = delete;
-
-    /** Set `*flag` when the clock passes `when`; returns a token for
-     *  disarm(). `flag` must stay valid until disarmed or fired. */
-    std::uint64_t arm(Clock::time_point when, std::atomic<bool>* flag);
-
-    /** Withdraw an armed deadline (no-op if it already fired). */
-    void disarm(std::uint64_t token);
-
-    /** Deadlines currently armed (test introspection). */
-    std::size_t armed() const;
-
-  private:
-    struct Entry
-    {
-        Clock::time_point when;
-        std::atomic<bool>* flag = nullptr;
-    };
-
-    void loop();
-
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    std::map<std::uint64_t, Entry> entries_;
-    std::uint64_t nextToken_ = 1;
-    bool stop_ = false;
-    std::thread thread_;
-};
+std::chrono::steady_clock::time_point
+deadlineAfter(std::chrono::steady_clock::time_point start,
+              std::uint64_t ms);
 
 /**
- * The process-wide watchdog every deadline-carrying run shares
- * (`--deadline-ms` on the CLI, per-request `deadline_ms` in serve,
- * per-row budgets on sweep). One thread for the whole process.
+ * The wait before retry `retry` (0-based) of a transiently failing
+ * run: baseMs doubled per retry (at most 2^16 times), saturating at
+ * the largest u64 instead of dropping high bits.
  */
-DeadlineWatchdog& processDeadlineWatchdog();
+std::uint64_t retryBackoffMs(std::uint64_t baseMs, unsigned retry);
+
+/**
+ * Sleep `ms` milliseconds, returning early once `*stop` (may be
+ * nullptr) is set: a retry backoff must not hold a Ctrl-C'd sweep or
+ * a shutting-down daemon hostage. Polls every 10 ms.
+ */
+void backoffSleep(std::uint64_t ms, const std::atomic<bool>* stop);
 
 } // namespace dalorex
 

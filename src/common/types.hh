@@ -65,8 +65,8 @@ toString(EngineScan scan)
  * unwound early through the cooperative RunControl path — the crew
  * exits at a cycle boundary with partial (but internally consistent)
  * stats instead of the process dying. `timeout` covers both the
- * wall-clock deadline watchdog and the hard cycle limit; `deadlock`
- * is the no-progress watchdog that used to panic.
+ * wall-clock deadline and the hard cycle limit; `deadlock` is the
+ * no-progress watchdog that used to panic.
  */
 enum class RunStatus : std::uint8_t
 {

@@ -423,20 +423,14 @@ Network::commitShard(unsigned shard_index, Cycle)
 }
 
 void
-Network::stepCommit(Cycle now)
-{
-    for (unsigned s = 0; s < shards_.size(); ++s)
-        commitShard(s, now);
-}
-
-void
 Network::step(Cycle now)
 {
     if (inFlight_.load(std::memory_order_relaxed) == 0)
         return;
     for (unsigned s = 0; s < shards_.size(); ++s)
         stepCompute(s, now);
-    stepCommit(now);
+    for (unsigned s = 0; s < shards_.size(); ++s)
+        commitShard(s, now);
 }
 
 std::uint64_t

@@ -42,8 +42,8 @@
  * buffer stages it), and all remaining effect pairs touch disjoint
  * state or are idempotent — so the destination-grouped order is
  * byte-identical to the old serial fixed-order commit, at every
- * shard count. stepCommit() survives as the serial wrapper (all
- * shards on the calling thread) for stand-alone users.
+ * shard count. step() runs both phases for every shard on the
+ * calling thread, for stand-alone users.
  *
  * The compute phase is event-driven (NocConfig::scanMode): each shard
  * keeps an active-router worklist holding exactly the routers with a
@@ -138,7 +138,7 @@ class Network
 
     /**
      * Partition the routers into `shards` contiguous ranges for
-     * stepCompute/stepCommit. Purely an execution concern: timing and
+     * stepCompute/commitShard. Purely an execution concern: timing and
      * stats are byte-identical for every shard count. Must be called
      * before the first step when the engine runs sharded.
      */
@@ -163,8 +163,9 @@ class Network
     /**
      * Compute phase for shard `shard`: scan its router range, apply
      * intra-router effects, stage cross-router pushes/pops/wakes.
-     * Distinct shards may run concurrently; stepCommit must follow
-     * before the next cycle (or any quiescent()/stats() read).
+     * Distinct shards may run concurrently; commitShard for every
+     * shard must follow before the next cycle (or any
+     * quiescent()/stats() read).
      */
     void stepCompute(unsigned shard, Cycle now);
 
@@ -181,11 +182,8 @@ class Network
      */
     void commitShard(unsigned shard, Cycle now);
 
-    /** Serial commit: commitShard for every shard on this thread. */
-    void stepCommit(Cycle now);
-
     /** True when no message is buffered anywhere in the network.
-     *  Valid between cycles (after stepCommit / outside phases). */
+     *  Valid between cycles (after commitShard / outside phases). */
     bool
     quiescent() const
     {

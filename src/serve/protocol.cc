@@ -230,13 +230,6 @@ renderRunRequest(const cli::Options& options, const std::string& id,
     return out + "}";
 }
 
-std::string
-renderControlRequest(const std::string& type, const std::string& id)
-{
-    return "{\"type\":" + jsonQuote(type) + ",\"id\":" +
-           jsonQuote(id) + "}";
-}
-
 std::uint64_t
 pointHash(const cli::Options& options)
 {

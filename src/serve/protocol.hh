@@ -97,10 +97,6 @@ std::string renderRunRequest(const cli::Options& options,
                              const std::string& client,
                              int priority = 0);
 
-/** Render a stats / shutdown request line. */
-std::string renderControlRequest(const std::string& type,
-                                 const std::string& id);
-
 /**
  * Canonical scenario identity hash: the FNV-1a of the options'
  * renderRunRequest bytes with empty id/client and run-control knobs

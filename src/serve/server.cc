@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstring>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include <sys/stat.h>
@@ -244,26 +243,19 @@ Server::workerLoop(unsigned member)
             continue;
 
         cli::Options options = job.request.options;
-        const std::uint64_t deadline_ms = options.deadlineMs;
-        options.deadlineMs = 0; // the watchdog below owns expiry
+        RunControl control;
+        if (options.deadlineMs > 0)
+            // The budget counts from acceptance, so queueing delay
+            // spends it too; an already-expired deadline unwinds the
+            // engine on its first cycle.
+            control.deadline =
+                deadlineAfter(job.enqueuedAt, options.deadlineMs);
+        options.deadlineMs = 0; // `control` owns expiry
 
         cli::RunOutcome outcome;
         for (unsigned attempt = 0;; ++attempt) {
-            RunControl control;
-            std::uint64_t token = 0;
-            if (deadline_ms > 0)
-                // The budget counts from acceptance, so queueing
-                // delay spends it too; an already-expired deadline
-                // fires the flag immediately and the engine unwinds
-                // on its first cycle.
-                token = processDeadlineWatchdog().arm(
-                    job.enqueuedAt +
-                        std::chrono::milliseconds(deadline_ms),
-                    &control.expired);
             outcome =
-                cli::runScenario(options, &arenas_[member], &control);
-            if (token != 0)
-                processDeadlineWatchdog().disarm(token);
+                cli::runScenario(options, &arenas_[member], control);
             // Retry only still-retriable transients (dataset I/O). A
             // timed-out run is transient to *callers*, but its budget
             // is spent here — answer it now.
@@ -271,12 +263,14 @@ Server::workerLoop(unsigned member)
                 !outcome.transient ||
                 outcome.status != RunStatus::completed)
                 break;
+            backoffSleep(retryBackoffMs(backoffMs_, attempt),
+                         &shutdown_);
+            if (shutdownRequested())
+                break; // answer the last error; do not hold the drain
             {
                 std::lock_guard<std::mutex> lock(statsMutex_);
                 ++retriedRuns_;
             }
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                backoffMs_ << std::min(attempt, 16u)));
         }
 
         if (outcome.status != RunStatus::completed) {

@@ -89,8 +89,10 @@ class Server
     /**
      * Retry transiently failing runs (dataset-file I/O) up to
      * `retries` extra times, sleeping backoffMs << attempt between
-     * tries, before the error is answered. Deadline expiries are never
-     * retried — their budget is already spent.
+     * tries (saturating, see retryBackoffMs), before the error is
+     * answered. Deadline expiries are never retried — their budget is
+     * already spent. Once shutdown is requested, a backoff ends early
+     * and the run answers its last error instead of retrying.
      */
     void setRetries(unsigned retries, std::uint64_t backoffMs = 250);
 

@@ -42,6 +42,7 @@
 #define DALOREX_SIM_MACHINE_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -115,19 +116,27 @@ struct MachineConfig
 };
 
 /**
- * Cooperative run control for Machine::run. The engine polls it once
- * per cycle in the serial tail of the phase barrier, so a set flag
- * unwinds the whole SPMD crew deterministically at the next cycle
- * boundary — stats stay internally consistent up to the cycle the run
- * stopped — instead of the process being SIGKILLed. `cancel` is an
- * optional external flag (a SIGINT handler, a sweep-wide interrupt);
- * `expired` is set by a DeadlineWatchdog when the run's wall-clock
- * budget lapses and yields RunStatus::timeout.
+ * Cooperative run control for Machine::run: plain data, read by the
+ * engine in the serial tail of the phase barrier, so a stop unwinds
+ * the whole SPMD crew deterministically at the next cycle boundary —
+ * stats stay internally consistent up to the cycle the run stopped —
+ * instead of the process being SIGKILLed.
+ *
+ * `cancel` is an optional external flag (a SIGINT handler, a
+ * sweep-wide interrupt), polled every cycle; a set flag yields
+ * RunStatus::cancelled. `deadline` is the run's wall-clock limit: the
+ * engine reads steady_clock itself, at the first serial tail (so a
+ * budget spent before the run unwinds at cycle 0) and then every 64th
+ * stepped cycle, so expiry is noticed within 64 stepped cycles and
+ * yields RunStatus::timeout. time_point::max() — the default, and
+ * what deadlineAfter() saturates a budget too large for the clock to —
+ * means no deadline: the engine never reads the clock.
  */
 struct RunControl
 {
     const std::atomic<bool>* cancel = nullptr;
-    std::atomic<bool> expired{false};
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
 };
 
 /** Everything measured during one run (energy model input). */
@@ -392,15 +401,14 @@ class Machine
                     std::uint32_t writes);
 
     // --- run -------------------------------------------------------
-    /** Execute the app to completion; callable once per Machine. */
-    RunStats run(App& app);
     /**
-     * Same, under cooperative control: `control` (may be nullptr) is
-     * polled in the per-cycle serial section, so cancellation or a
-     * watchdog-expired deadline unwinds the run at a cycle boundary
-     * with RunStats::status reporting why (see RunControl).
+     * Execute the app to completion; callable once per Machine.
+     * `control` (may be nullptr: run to completion) is read in the
+     * per-cycle serial section, so cancellation or an expired
+     * deadline unwinds the run at a cycle boundary with
+     * RunStats::status reporting why (see RunControl).
      */
-    RunStats run(App& app, const RunControl* control);
+    RunStats run(App& app, const RunControl* control = nullptr);
 
 #if DALOREX_OWNERSHIP_CHECKS
     /**

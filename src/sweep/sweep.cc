@@ -1,11 +1,10 @@
 #include "sweep/sweep.hh"
 
 #include <chrono>
-#include <thread>
+#include <limits>
 
 #include "common/parallel.hh"
 #include "graph/graphfile.hh"
-#include "sweep/pool.hh"
 
 namespace dalorex
 {
@@ -27,44 +26,7 @@ jitterMs(std::uint64_t seed, std::uint64_t row, unsigned attempt,
     return hashBytes(words, sizeof words) % window;
 }
 
-/** Sleep that notices cancellation: a retry backoff must not hold a
- *  Ctrl-C'd sweep hostage for seconds. */
-void
-backoffSleep(std::uint64_t ms, const std::atomic<bool>* cancel)
-{
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(ms);
-    while (std::chrono::steady_clock::now() < until) {
-        if (cancel != nullptr && cancel->load())
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<std::uint64_t>(ms, 10)));
-    }
-}
-
 } // namespace
-
-RunResult
-run(const Plan& plan, unsigned threads)
-{
-    return run(expand(plan), threads);
-}
-
-RunResult
-run(const ExpandResult& expanded, unsigned threads)
-{
-    return run(expanded, threads,
-               static_cast<const std::atomic<bool>*>(nullptr));
-}
-
-RunResult
-run(const ExpandResult& expanded, unsigned threads,
-    const std::atomic<bool>* cancel)
-{
-    RunPolicy policy;
-    policy.cancel = cancel;
-    return run(expanded, threads, policy);
-}
 
 RunResult
 run(const ExpandResult& expanded, unsigned threads,
@@ -93,32 +55,32 @@ run(const ExpandResult& expanded, unsigned threads,
         }
 
         cli::Options options = expanded.points[i];
-        options.deadlineMs = 0; // the policy watchdog owns expiry
+        options.deadlineMs = 0; // the policy's row deadline owns expiry
         unsigned attempts = 0;
         for (;;) {
             ++attempts;
             RunControl control;
             control.cancel = cancel;
-            std::uint64_t token = 0;
             if (policy.rowDeadlineMs > 0)
-                token = processDeadlineWatchdog().arm(
-                    std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(
-                            policy.rowDeadlineMs),
-                    &control.expired);
-            outcome = cli::runScenario(options, nullptr, &control);
-            if (token != 0)
-                processDeadlineWatchdog().disarm(token);
+                control.deadline =
+                    deadlineAfter(std::chrono::steady_clock::now(),
+                                  policy.rowDeadlineMs);
+            outcome = cli::runScenario(options, nullptr, control);
             const bool cancelled =
                 outcome.status == RunStatus::cancelled ||
                 (cancel != nullptr && cancel->load());
             if (outcome.ok || !outcome.transient || cancelled ||
                 attempts > policy.retries)
                 break;
-            const std::uint64_t base = policy.backoffMs
-                                       << std::min(attempts - 1, 16u);
-            backoffSleep(base + jitterMs(policy.seed, i, attempts,
-                                         base / 2 + 1),
+            const std::uint64_t base =
+                retryBackoffMs(policy.backoffMs, attempts - 1);
+            const std::uint64_t jitter =
+                jitterMs(policy.seed, i, attempts, base / 2 + 1);
+            // Saturating: a backoff past u64 sleeps until cancelled
+            // instead of wrapping around to a short wait.
+            constexpr std::uint64_t most =
+                std::numeric_limits<std::uint64_t>::max();
+            backoffSleep(jitter > most - base ? most : base + jitter,
                          cancel);
             if (cancel != nullptr && cancel->load()) {
                 outcome.ok = false;

@@ -49,43 +49,27 @@ struct RunResult
 };
 
 /**
- * Expand `plan` and run every point on up to `threads` workers.
- * Expansion errors (empty axis, unknown dataset, missing baseline)
- * return ok == false without running anything.
- */
-RunResult run(const Plan& plan, unsigned threads);
-
-/** Run an already-expanded plan (also propagates its !ok state). */
-RunResult run(const ExpandResult& expanded, unsigned threads);
-
-/**
- * Same, with cooperative cancellation: once `*cancel` is true (a
- * SIGINT handler sets it), points not yet started fail their own row
- * with "interrupted" instead of running, while in-flight points are
- * unwound by the engine at the next cycle boundary — the caller
- * flushes the completed rows as partial output. nullptr behaves like
- * the overload above.
- */
-RunResult run(const ExpandResult& expanded, unsigned threads,
-              const std::atomic<bool>* cancel);
-
-/**
  * Fault policy for one sweep execution: cancellation, per-row
  * deadlines, retry/backoff for transient failures, resume skip mask
- * and a per-row completion hook (the journal writer).
+ * and a per-row completion hook (the journal writer). The default
+ * runs every row once, with no deadline.
  */
 struct RunPolicy
 {
-    /** Cooperative cancel flag (SIGINT); also polled mid-run by the
-     *  engine's serial tail, so in-flight rows unwind promptly. */
+    /** Cooperative cancel flag (SIGINT): once set, rows not yet
+     *  started fail with "interrupted" instead of running, and the
+     *  engine's serial tail unwinds in-flight rows at the next cycle
+     *  boundary — the caller flushes the completed rows as partial
+     *  output. */
     const std::atomic<bool>* cancel = nullptr;
     /** Extra attempts for a row whose failure is transient (dataset
      *  file I/O, deadline expiry). 0 = fail on first error. */
     unsigned retries = 0;
     /** Backoff before attempt k (1-based retry): backoffMs << (k-1)
-     *  plus a deterministic jitter derived from (seed, row, k). Keep
-     *  it above the dataset cache's negative-entry TTL so a retry
-     *  reaches the filesystem, not the cached failure. */
+     *  plus a deterministic jitter derived from (seed, row, k), all
+     *  saturating (see retryBackoffMs). Keep it above the dataset
+     *  cache's negative-entry TTL so a retry reaches the filesystem,
+     *  not the cached failure. */
     std::uint64_t backoffMs = 250;
     std::uint64_t seed = 1; //!< jitter seed (determinism, not entropy)
     /** Per-row wall-clock budget; an expired row unwinds with
@@ -103,14 +87,17 @@ struct RunPolicy
 };
 
 /**
- * Run under a fault policy. Skip-masked rows are never executed and
- * onRow is not called for them; their outcome slots come back
+ * Run every point of an expanded plan on up to `threads` workers,
+ * under a fault policy. A plan that failed to expand (empty axis,
+ * unknown dataset, missing baseline) returns ok == false without
+ * running anything. Skip-masked rows are never executed and onRow is
+ * not called for them; their outcome slots come back
  * default-constructed for the caller to overwrite with its replayed
  * journal records, which is what makes a resumed sweep aggregate
  * byte-identically to an uninterrupted one.
  */
 RunResult run(const ExpandResult& expanded, unsigned threads,
-              const RunPolicy& policy);
+              const RunPolicy& policy = {});
 
 } // namespace sweep
 } // namespace dalorex

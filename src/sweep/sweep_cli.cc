@@ -11,6 +11,7 @@
 #include "cli/scenario.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/text.hh"
 #include "graph/dataset_cache.hh"
 #include "graph/datasets.hh"
@@ -18,7 +19,6 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "sweep/aggregate.hh"
-#include "sweep/pool.hh"
 #include "sweep/sweep.hh"
 
 namespace dalorex

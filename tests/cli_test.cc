@@ -359,7 +359,7 @@ TEST(CliMain, MaxCyclesBudgetExitsThreeWithPartialTimeoutReport)
 TEST(CliMain, ExpiredDeadlineExitsThreeWithTimeoutStatus)
 {
     // A scale-13 pagerank takes far longer than 1 ms of wall clock,
-    // so the watchdog reliably trips mid-run.
+    // so the deadline reliably lapses before the run ends.
     std::string out;
     std::string err;
     const int code =
@@ -369,6 +369,28 @@ TEST(CliMain, ExpiredDeadlineExitsThreeWithTimeoutStatus)
     EXPECT_EQ(code, 3) << err;
     EXPECT_NE(out.find("\"status\":\"timeout\""), std::string::npos);
     EXPECT_NE(err.find("deadline"), std::string::npos);
+}
+
+TEST(CliMain, BudgetTooLargeForTheClockMeansNoDeadline)
+{
+    // Neither budget fits steady_clock's nanosecond count; both used
+    // to time the run out at cycle 0 (and overflow under UBSan).
+    std::string plain;
+    std::string err;
+    ASSERT_EQ(runCli({"--kernel", "bfs", "--scale", "8", "--json"},
+                     plain, err),
+              0)
+        << err;
+    for (const char* budget :
+         {"9223372036854775807", "18446744073709551615"}) {
+        std::string out;
+        EXPECT_EQ(runCli({"--kernel", "bfs", "--scale", "8",
+                          "--deadline-ms", budget, "--json"},
+                         out, err),
+                  0)
+            << budget << ": " << err;
+        EXPECT_EQ(out, plain) << budget;
+    }
 }
 
 TEST(CliMain, ParamOverrideDrivesPageRankEpochs)

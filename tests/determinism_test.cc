@@ -236,7 +236,8 @@ INSTANTIATE_TEST_SUITE_P(
 std::string
 sweepJsonl(const sweep::Plan& plan, unsigned threads)
 {
-    const sweep::RunResult result = sweep::run(plan, threads);
+    const sweep::RunResult result =
+        sweep::run(sweep::expand(plan), threads);
     EXPECT_TRUE(result.ok) << result.error;
     EXPECT_TRUE(result.allRowsOk());
     const sweep::AggregateResult agg =

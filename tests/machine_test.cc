@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "apps/bfs.hh"
 #include "apps/graph_app.hh"
@@ -234,11 +235,49 @@ TEST(Machine, ExpiredDeadlineUnwindsAsTimeout)
     auto app = setup.makeApp();
     Machine machine(config4x4(), graph.numVertices, graph.numEdges);
     RunControl control;
-    control.expired.store(true); // watchdog fired before the run
+    // Spent before the run started (e.g. waiting in the serve queue).
+    control.deadline = std::chrono::steady_clock::now() -
+                       std::chrono::milliseconds(1);
     const RunStats stats = machine.run(*app, &control);
     EXPECT_EQ(stats.status, RunStatus::timeout);
+    EXPECT_EQ(stats.cycles, 0u);
     EXPECT_NE(stats.statusDetail.find("deadline"),
               std::string::npos);
+}
+
+TEST(Machine, UnreachableDeadlineCompletesWithValidOutput)
+{
+    const Csr graph = testGraph();
+    const KernelSetup setup = makeKernelSetup("bfs", graph);
+    auto app = setup.makeApp();
+    Machine machine(config4x4(), graph.numVertices, graph.numEdges);
+    RunControl control;
+    control.deadline = std::chrono::steady_clock::time_point::max();
+    const RunStats stats = machine.run(*app, &control);
+    EXPECT_EQ(stats.status, RunStatus::completed);
+    EXPECT_EQ(app->gatherValues(machine), setup.referenceWords());
+}
+
+TEST(Machine, DeadlineLapsingMidRunUnwindsPromptly)
+{
+    // 1000 PageRank epochs run for seconds; the deadline lapses long
+    // before, after the engine has stepped cycles, and the engine must
+    // notice within its clock-read stride, not at the end of the run.
+    const Csr graph = testGraph();
+    KernelSetup setup = makeKernelSetup("pagerank", graph);
+    setup.iterations = 1000;
+    auto app = setup.makeApp();
+    Machine machine(config4x4(), graph.numVertices, graph.numEdges);
+    RunControl control;
+    control.deadline = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(100);
+    const RunStats stats = machine.run(*app, &control);
+    const auto overrun =
+        std::chrono::steady_clock::now() - control.deadline;
+    EXPECT_EQ(stats.status, RunStatus::timeout);
+    EXPECT_GT(stats.cycles, 0u);
+    EXPECT_LT(stats.epochs, 1000u);
+    EXPECT_LT(overrun, std::chrono::seconds(1));
 }
 
 TEST(Machine, NullControlCompletesNormally)

@@ -2,11 +2,12 @@
  * @file
  * Stress and contract tests for the worker-thread machinery behind
  * the cycle engine: the PhaseBarrier (threads x iterations matrix,
- * serial-section exactly-once and visibility guarantees) and the
- * runSpmd fork-join session it rides in. The whole file runs under
- * the sanitize-tsan preset in CI, so the acquire/release edges
- * documented in parallel.hh are checked by a race detector, not just
- * by assertion.
+ * serial-section exactly-once and visibility guarantees), the
+ * runSpmd fork-join session it rides in, and the saturating
+ * wall-clock helpers behind deadlines and retry backoff. The whole
+ * file runs under the sanitize-tsan preset in CI, so the
+ * acquire/release edges documented in parallel.hh are checked by a
+ * race detector, not just by assertion.
  */
 
 #include <gtest/gtest.h>
@@ -206,73 +207,44 @@ TEST(RunSpmd, CycleLoopWithBarrierMatchesClosedForm)
     EXPECT_EQ(total, expected);
 }
 
-// --- DeadlineWatchdog ------------------------------------------------
+// --- wall-clock budgets ---------------------------------------------
 
-TEST(DeadlineWatchdog, FiresExpiredDeadlines)
+TEST(WallClock, DeadlineAfterSaturatesInsteadOfOverflowing)
 {
-    DeadlineWatchdog watchdog;
-    std::atomic<bool> flag{false};
-    watchdog.arm(std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(20),
-                 &flag);
-    for (int i = 0; i < 500 && !flag.load(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_TRUE(flag.load());
-    EXPECT_EQ(watchdog.armed(), 0u);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point start = Clock::now();
+    EXPECT_EQ(deadlineAfter(start, 0), start);
+    EXPECT_EQ(deadlineAfter(start, 1),
+              start + std::chrono::milliseconds(1));
+    // Neither budget fits the clock's nanosecond count: both mean "no
+    // deadline", not an instant that wrapped into the past.
+    EXPECT_EQ(deadlineAfter(start, (std::uint64_t(1) << 63) - 1),
+              Clock::time_point::max());
+    EXPECT_EQ(deadlineAfter(start, ~std::uint64_t(0)),
+              Clock::time_point::max());
 }
 
-TEST(DeadlineWatchdog, DisarmedDeadlineNeverFires)
+TEST(WallClock, RetryBackoffDoublesThenSaturates)
 {
-    DeadlineWatchdog watchdog;
-    std::atomic<bool> flag{false};
-    const std::uint64_t token = watchdog.arm(
-        std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(50),
-        &flag);
-    watchdog.disarm(token);
-    EXPECT_EQ(watchdog.armed(), 0u);
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    EXPECT_FALSE(flag.load());
+    EXPECT_EQ(retryBackoffMs(250, 0), 250u);
+    EXPECT_EQ(retryBackoffMs(250, 3), 2000u);
+    EXPECT_EQ(retryBackoffMs(1, 40), std::uint64_t(1) << 16);
+    EXPECT_EQ(retryBackoffMs(std::uint64_t(1) << 60, 5),
+              ~std::uint64_t(0));
 }
 
-TEST(DeadlineWatchdog, AlreadyPastDeadlineFiresPromptly)
+TEST(WallClock, BackoffSleepEndsOnceStopIsSet)
 {
-    DeadlineWatchdog watchdog;
-    std::atomic<bool> flag{false};
-    watchdog.arm(std::chrono::steady_clock::now() -
-                     std::chrono::milliseconds(1),
-                 &flag);
-    for (int i = 0; i < 500 && !flag.load(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_TRUE(flag.load());
-}
-
-TEST(DeadlineWatchdog, ManyConcurrentDeadlinesAllFire)
-{
-    DeadlineWatchdog watchdog;
-    constexpr int n = 32;
-    std::vector<std::atomic<bool>> flags(n);
-    const auto now = std::chrono::steady_clock::now();
-    for (int i = 0; i < n; ++i)
-        watchdog.arm(now + std::chrono::milliseconds(1 + i % 7),
-                     &flags[i]);
-    bool all = false;
-    for (int spin = 0; spin < 1000 && !all; ++spin) {
-        all = true;
-        for (int i = 0; i < n; ++i)
-            all = all && flags[i].load();
-        if (!all)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(2));
-    }
-    EXPECT_TRUE(all);
-    EXPECT_EQ(watchdog.armed(), 0u);
-}
-
-TEST(DeadlineWatchdog, ProcessSingletonIsOneInstance)
-{
-    EXPECT_EQ(&processDeadlineWatchdog(),
-              &processDeadlineWatchdog());
+    std::atomic<bool> stop{false};
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread setter([&stop] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        stop.store(true);
+    });
+    backoffSleep(~std::uint64_t(0), &stop); // "forever", until stopped
+    setter.join();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
 }
 
 } // namespace

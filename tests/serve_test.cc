@@ -945,8 +945,9 @@ TEST(SweepCancel, SetFlagSkipsRemainingRowsAsInterrupted)
     ASSERT_TRUE(expanded.ok) << expanded.error;
 
     std::atomic<bool> cancel{true}; // already interrupted
-    const sweep::RunResult result =
-        sweep::run(expanded, 1, &cancel);
+    sweep::RunPolicy policy;
+    policy.cancel = &cancel;
+    const sweep::RunResult result = sweep::run(expanded, 1, policy);
     ASSERT_TRUE(result.ok);
     ASSERT_EQ(result.outcomes.size(), 1u);
     EXPECT_FALSE(result.outcomes[0].ok);
@@ -1131,6 +1132,100 @@ TEST(ServerCore, StatsReportFaultCounters)
          {"\"cancellations\":", "\"retries\":", "\"quarantined\":",
           "\"journal_written\":", "\"journal_replayed\":"})
         EXPECT_NE(line.find(key), std::string::npos) << key;
+    datasetCacheClear();
+}
+
+TEST(ServerCore, BudgetTooLargeForTheClockMeansNoDeadline)
+{
+    // Untrusted lines may carry any u64 budget. Neither of these fits
+    // steady_clock's nanosecond count; both used to answer a cycle-0
+    // timeout (and abort the daemon under UBSan).
+    const cli::RunOutcome standalone = cli::runScenario(tinyOptions());
+    ASSERT_TRUE(standalone.ok) << standalone.error;
+    const std::string expected = cli::renderJson(standalone.report);
+
+    Server server(1);
+    Capture capture;
+    const std::uint64_t conn = server.openConnection(capture.sink());
+    server.handleLine(
+        conn, runLine("max63", ",\"deadline_ms\":9223372036854775807"));
+    server.handleLine(
+        conn, runLine("max64", ",\"deadline_ms\":18446744073709551615"));
+    server.requestShutdown();
+    server.serve();
+
+    for (const char* id : {"max63", "max64"}) {
+        std::string line;
+        ASSERT_TRUE(capture.findLine("result", id, line)) << id;
+        std::string payload;
+        ASSERT_TRUE(extractResultPayload(line, payload));
+        EXPECT_NE(payload.find("\"status\":\"completed\""),
+                  std::string::npos)
+            << payload;
+        EXPECT_EQ(payload, expected) << id;
+    }
+}
+
+/** A run request whose dataset file does not exist: a transient
+ *  (I/O) failure, so the server's retry policy applies. */
+std::string
+missingFileLine(const std::string& id)
+{
+    return "{\"type\":\"run\",\"id\":\"" + id +
+           "\",\"kernel\":\"bfs\",\"width\":2,\"height\":2,"
+           "\"dataset\":\"file:serve_test_no_such.dlx\"}";
+}
+
+TEST(ServerCore, TransientFailureIsRetriedThenAnsweredAsError)
+{
+    datasetCacheClear();
+    Server server(1);
+    server.setRetries(2, 1);
+    Capture capture;
+    const std::uint64_t conn = server.openConnection(capture.sink());
+    // The crew runs beside the test: a shutdown requested before the
+    // run would (by design) cut its retries short.
+    std::thread crew([&server] { server.serve(); });
+    server.handleLine(conn, missingFileLine("missing"));
+    std::string line;
+    for (int i = 0;
+         i < 2000 && !capture.findLine("error", "missing", line); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    server.requestShutdown();
+    crew.join();
+
+    ASSERT_TRUE(capture.findLine("error", "missing", line));
+    EXPECT_NE(line.find("serve_test_no_such.dlx"), std::string::npos)
+        << line;
+    server.handleLine(conn, R"({"type":"stats","id":"st"})");
+    ASSERT_TRUE(capture.findLine("stats", "st", line));
+    EXPECT_NE(line.find("\"retries\":2"), std::string::npos) << line;
+    datasetCacheClear();
+}
+
+TEST(ServerCore, ShutdownDuringRetryBackoffAnswersAtOnce)
+{
+    datasetCacheClear();
+    Server server(1);
+    server.setRetries(1, 30'000); // the backoff alone is 30 s
+    Capture capture;
+    const std::uint64_t conn = server.openConnection(capture.sink());
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread crew([&server] { server.serve(); });
+    server.handleLine(conn, missingFileLine("missing"));
+    // The first attempt fails within microseconds; let the worker
+    // settle into its backoff before shutting down.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    server.requestShutdown();
+    crew.join();
+
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+    std::string line;
+    EXPECT_TRUE(capture.findLine("error", "missing", line));
+    server.handleLine(conn, R"({"type":"stats","id":"st"})");
+    ASSERT_TRUE(capture.findLine("stats", "st", line));
+    EXPECT_NE(line.find("\"retries\":0"), std::string::npos) << line;
     datasetCacheClear();
 }
 

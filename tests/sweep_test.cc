@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "common/journal.hh"
+#include "common/parallel.hh"
 #include "graph/dataset_cache.hh"
 #include "graph/graphfile.hh"
 #include "sweep/aggregate.hh"
-#include "sweep/pool.hh"
 #include "sweep/sweep.hh"
 #include "sweep/sweep_cli.hh"
 
@@ -183,7 +183,7 @@ TEST(Pool, CoversEveryIndexExactlyOnce)
 
 TEST(RunAggregate, DerivedColumnsAgainstBaseline)
 {
-    const RunResult result = run(miniPlan(), 2);
+    const RunResult result = run(expand(miniPlan()), 2);
     ASSERT_TRUE(result.ok) << result.error;
     const std::vector<cli::Report> reports = result.okReports();
     ASSERT_EQ(reports.size(), 4u);
@@ -218,7 +218,7 @@ TEST(RunAggregate, ScaledDatasetVariantsGroupSeparately)
     plan.grids = {{1, 1}, {2, 2}};
     plan.base.seed = 3;
 
-    const RunResult result = run(plan, 2);
+    const RunResult result = run(expand(plan), 2);
     ASSERT_TRUE(result.ok) << result.error;
     const AggregateResult agg =
         aggregate(result.okReports(), result.baseline);
@@ -239,7 +239,7 @@ TEST(RunAggregate, ScaledDatasetVariantsGroupSeparately)
 TEST(RunAggregate, MissingBaselineErrorsOrSkips)
 {
     // Drop the baseline rows so every group misses the 2x2 shape.
-    const RunResult result = run(miniPlan(), 2);
+    const RunResult result = run(expand(miniPlan()), 2);
     ASSERT_TRUE(result.ok) << result.error;
     std::vector<cli::Report> no_baseline;
     for (const cli::Report& report : result.okReports())
@@ -292,7 +292,7 @@ expectWellFormedJson(const std::string& json)
 
 TEST(Renderers, JsonlHasOneObjectPerRowAndSharedSchema)
 {
-    const RunResult result = run(miniPlan(), 2);
+    const RunResult result = run(expand(miniPlan()), 2);
     ASSERT_TRUE(result.ok) << result.error;
     const AggregateResult agg =
         aggregate(result.okReports(), result.baseline);
@@ -461,7 +461,7 @@ TEST(RunAggregate, EngineThreadsAxisChangesNothingButTheColumn)
     plan.grids = {{4, 4}};
     plan.engineThreads = {1, 4};
     plan.base.seed = 3;
-    const RunResult result = run(plan, 1);
+    const RunResult result = run(expand(plan), 1);
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_TRUE(result.allRowsOk());
     const AggregateResult agg =
@@ -739,6 +739,29 @@ TEST(SweepParse, FaultToleranceFlags)
     std::string err;
     EXPECT_EQ(runSweep({"--retries", "99"}, out, err), 2);
     EXPECT_NE(err.find("--retries"), std::string::npos);
+}
+
+TEST(SweepFault, RowBudgetTooLargeForTheClockMeansNoDeadline)
+{
+    // Used to fail the row as a timeout at cycle 0. The summary line
+    // counts dataset-cache builds, so each sweep starts cold.
+    std::string plain;
+    std::string out;
+    std::string err;
+    datasetCacheClear();
+    ASSERT_EQ(runSweep({"--kernel", "bfs", "--grid-size", "2x2",
+                        "--scale", "8", "--threads", "1", "--json"},
+                       plain, err),
+              0)
+        << err;
+    datasetCacheClear();
+    EXPECT_EQ(runSweep({"--kernel", "bfs", "--grid-size", "2x2",
+                        "--scale", "8", "--threads", "1", "--json",
+                        "--row-deadline-ms", "18446744073709551615"},
+                       out, err),
+              0)
+        << err;
+    EXPECT_EQ(out, plain);
 }
 
 TEST(SweepFault, KilledJournalResumesByteIdentically)

@@ -11,7 +11,9 @@ over the wire, runs it once via the standalone CLI, and asserts:
      daemon keeps serving;
   3. the second request for the same dataset triggers zero additional
      dataset-cache builds (the warm-cache contract);
-  4. a `stats` request answers with sane queue/client counters.
+  4. a `stats` request answers with sane queue/client counters;
+  5. the scenario resent with a `deadline_ms` too large for the clock
+     (2^64-1) completes with step 1's exact payload.
 
 The stats response is written to --out (serve_stats.json) so CI keeps
 one artifact tracking daemon health per run.
@@ -169,7 +171,21 @@ def main():
         print(f"serve_smoke: dataset cache {cache['builds']} build, "
               f"{cache['hits']} hit(s) -> {opts.out}")
 
-        # 5. Clean shutdown drains and exits 0.
+        # 5. A budget too large for the clock means no deadline: the
+        # run completes with step 1's exact bytes instead of timing
+        # out at cycle 0.
+        channel.send({"type": "run", "id": "smoke-huge-deadline",
+                      **SCENARIO_FIELDS,
+                      "deadline_ms": 18446744073709551615})
+        huge = result_payload(channel.wait_result("smoke-huge-deadline"),
+                              "smoke-huge-deadline")
+        if huge != payload:
+            sys.exit("serve_smoke: a deadline_ms of 2^64-1 changed the "
+                     f"result: {huge[:200]}")
+        print("serve_smoke: deadline_ms 2^64-1 runs to completion, "
+              "byte-identical")
+
+        # 6. Clean shutdown drains and exits 0.
         channel.send({"type": "shutdown", "id": "smoke-bye"})
         channel.recv_line()  # accepted
         code = daemon.wait(timeout=30)
