@@ -4,13 +4,16 @@
  * serialization, per-channel FIFO order, endpoint backpressure, the
  * injection port, and the no-deadlock drain property under random
  * traffic on every topology (the bubble-rule check DESIGN.md calls
- * out).
+ * out). NocGolden pins the cycle-level behaviour under seeded traffic
+ * to hashes recorded from a known-good build.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -41,19 +44,53 @@ struct Sink
     }
 };
 
+/** A grid the traffic tests run on. */
+struct Shape
+{
+    const char* name;
+    NocTopology topology;
+    std::uint32_t width;
+    std::uint32_t height;
+    std::uint32_t rucheFactor; //!< torusRuche only
+};
+
+void
+PrintTo(const Shape& shape, std::ostream* os)
+{
+    *os << shape.name;
+}
+
 NocConfig
-smallConfig(NocTopology topology, std::uint32_t side)
+gridConfig(const Shape& shape)
 {
     NocConfig config;
-    config.topology = topology;
-    config.width = side;
-    config.height = side;
-    if (topology == NocTopology::torusRuche)
-        config.rucheFactor = 2;
+    config.topology = shape.topology;
+    config.width = shape.width;
+    config.height = shape.height;
+    if (shape.topology == NocTopology::torusRuche)
+        config.rucheFactor = shape.rucheFactor;
     config.numChannels = 2;
     config.msgWords = {3, 2, 0, 0};
     return config;
 }
+
+NocConfig
+smallConfig(NocTopology topology, std::uint32_t side)
+{
+    return gridConfig({"", topology, side, side, 2});
+}
+
+// The 6x6 grids have every port of their topology in use. On 1x16
+// torus-ruche the ruche east/west ports are idle while north/south
+// are not, and on 16x2 the reverse, so per-port state indexed by the
+// highest port in use (not by the count of ports) is exercised.
+constexpr Shape mesh6{"mesh6x6", NocTopology::mesh, 6, 6, 0};
+constexpr Shape torus6{"torus6x6", NocTopology::torus, 6, 6, 0};
+constexpr Shape ruche6{"ruche2_6x6", NocTopology::torusRuche, 6, 6, 2};
+constexpr Shape rucheColumn{"ruche3_1x16", NocTopology::torusRuche, 1,
+                            16, 3};
+constexpr Shape rucheRows{"ruche3_16x2", NocTopology::torusRuche, 16, 2,
+                          3};
 
 Message
 makeMsg(TileId dest, ChannelId channel, std::uint8_t words)
@@ -231,15 +268,15 @@ TEST(Network, SelfAddressedMessageDelivers)
 
 /** Random all-to-all traffic must always drain (deadlock freedom). */
 class NetworkDrain
-    : public ::testing::TestWithParam<std::tuple<NocTopology, int>>
+    : public ::testing::TestWithParam<std::tuple<Shape, int>>
 {
 };
 
 TEST_P(NetworkDrain, RandomTrafficDrains)
 {
-    const auto [topology, seed] = GetParam();
-    const std::uint32_t side = 6;
-    NocConfig config = smallConfig(topology, side);
+    const auto [shape, seed] = GetParam();
+    const TileId tiles = shape.width * shape.height;
+    NocConfig config = gridConfig(shape);
     config.bufferSlots = 2; // minimum legal: stresses the bubble rule
     Sink sink;
     Network net(config, sink.fn());
@@ -253,12 +290,10 @@ TEST_P(NetworkDrain, RandomTrafficDrains)
         sink.now = cycle;
         net.step(cycle);
         // Every tile tries to inject one random message per cycle.
-        for (TileId src = 0;
-             src < side * side && injected < total; ++src) {
+        for (TileId src = 0; src < tiles && injected < total; ++src) {
             const auto channel =
                 static_cast<ChannelId>(rng.below(2));
-            const auto dest = static_cast<TileId>(
-                rng.below(side * side));
+            const auto dest = static_cast<TileId>(rng.below(tiles));
             Message msg = makeMsg(dest, channel,
                                   config.msgWords[channel]);
             if (net.tryInject(msg, src, cycle) == InjectResult::ok) {
@@ -267,7 +302,7 @@ TEST_P(NetworkDrain, RandomTrafficDrains)
             }
         }
         ++cycle;
-        ASSERT_LT(cycle, 200000u) << "network deadlocked";
+        ASSERT_LT(cycle, 200000u) << shape.name << " deadlocked";
     }
     EXPECT_EQ(sink.delivered.size(), total);
     EXPECT_EQ(net.stats().messagesInjected, total);
@@ -277,10 +312,147 @@ TEST_P(NetworkDrain, RandomTrafficDrains)
 
 INSTANTIATE_TEST_SUITE_P(
     AllTopologies, NetworkDrain,
-    ::testing::Combine(::testing::Values(NocTopology::mesh,
-                                         NocTopology::torus,
-                                         NocTopology::torusRuche),
+    ::testing::Combine(::testing::Values(mesh6, torus6, ruche6),
                        ::testing::Values(1, 2, 3)));
+
+INSTANTIATE_TEST_SUITE_P(
+    PartialRuche, NetworkDrain,
+    ::testing::Combine(::testing::Values(rucheColumn, rucheRows),
+                       ::testing::Values(1, 2, 3)));
+
+/** FNV-1a over the little-endian bytes of each folded value. */
+struct Fnv
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t value)
+    {
+        for (unsigned b = 0; b < 8; ++b) {
+            hash ^= (value >> (8 * b)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Seeded random traffic on both channels against tiles whose input
+ * queues hold two messages and drain at random, so heads block on the
+ * bubble rule, on full downstream buffers and on refused deliveries.
+ * Returns the FNV-1a of every injection outcome, every delivery
+ * (cycle, dest, channel, payload words), the final NocStats and the
+ * per-router active cycles.
+ */
+std::uint64_t
+goldenTraffic(const Shape& shape, std::uint32_t buffer_slots,
+              unsigned shards)
+{
+    const TileId tiles = shape.width * shape.height;
+    NocConfig config = gridConfig(shape);
+    config.bufferSlots = buffer_slots;
+    Fnv fnv;
+    Cycle now = 0;
+    std::vector<unsigned> queued(tiles, 0);
+    Network net(config, [&](const Message& msg) {
+        if (queued[msg.dest] == 2)
+            return false;
+        ++queued[msg.dest];
+        fnv.add(now);
+        fnv.add(msg.dest);
+        fnv.add(msg.channel);
+        for (unsigned w = 0; w < msg.numWords; ++w)
+            fnv.add(msg.words[w]);
+        return true;
+    });
+    net.setNumShards(shards);
+    Rng rng(0x5eed);
+
+    const unsigned total = 1500;
+    unsigned injected = 0;
+    while (injected < total || !net.quiescent()) {
+        ++now;
+        net.step(now);
+        for (TileId tile = 0; tile < tiles; ++tile) {
+            if (queued[tile] != 0 && rng.below(3) == 0) {
+                --queued[tile];
+                net.wakeRouter(tile);
+            }
+            if (injected == total || rng.below(2) == 0)
+                continue;
+            const auto channel = static_cast<ChannelId>(rng.below(2));
+            Message msg;
+            msg.dest = static_cast<TileId>(rng.below(tiles));
+            msg.channel = channel;
+            msg.numWords = config.msgWords[channel];
+            for (unsigned w = 0; w < msg.numWords; ++w)
+                msg.words[w] = static_cast<Word>(rng.next64());
+            const InjectResult result = net.tryInject(msg, tile, now);
+            fnv.add(static_cast<std::uint64_t>(result));
+            if (result == InjectResult::ok)
+                ++injected;
+        }
+        if (now > 1000000)
+            return 0; // deadlocked; no golden value is zero
+    }
+    const NocStats stats = net.stats();
+    for (const std::uint64_t value :
+         {stats.messagesInjected, stats.messagesDelivered,
+          stats.flitHops, stats.flitWireTiles, stats.routerPassages,
+          stats.deliveryStalls})
+        fnv.add(value);
+    for (const Cycle active : net.routerActiveCycles())
+        fnv.add(active);
+    return fnv.hash;
+}
+
+struct GoldenCase
+{
+    Shape shape;
+    std::uint32_t bufferSlots;
+    std::uint64_t hash; //!< goldenTraffic() at every shard count
+};
+
+void
+PrintTo(const GoldenCase& golden, std::ostream* os)
+{
+    *os << golden.shape.name << "_slots" << golden.bufferSlots;
+}
+
+/**
+ * Pins the NoC's cycle-level behaviour across commits: timing,
+ * arbitration, flow control and statistics. A deliberate change to
+ * any of them must update these literals and say why.
+ */
+class NocGolden : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(NocGolden, TrafficHashIsPinned)
+{
+    const GoldenCase& golden = GetParam();
+    for (const unsigned shards : {1u, 3u}) {
+        EXPECT_EQ(goldenTraffic(golden.shape, golden.bufferSlots, shards),
+                  golden.hash)
+            << "at " << shards << " shards";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, NocGolden,
+    ::testing::Values(GoldenCase{mesh6, 2, 0x7796e9f4df5af166ull},
+                      GoldenCase{mesh6, 4, 0x7ed1f39f2038305bull},
+                      GoldenCase{torus6, 2, 0x59aefd25bc0681caull},
+                      GoldenCase{torus6, 4, 0xc1fba2c982ae308eull},
+                      GoldenCase{ruche6, 2, 0xefd1dde2ca2e72edull},
+                      GoldenCase{ruche6, 4, 0xf1bbaf8b1a62da55ull},
+                      GoldenCase{rucheColumn, 2, 0xf62c9e7153b567c2ull},
+                      GoldenCase{rucheColumn, 4, 0xcfe839dd5a4aa1f5ull},
+                      GoldenCase{rucheRows, 2, 0xc17c7cd391db4f7bull},
+                      GoldenCase{rucheRows, 4, 0x61fa3b6ad7dd8b4full}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+        return std::string(info.param.shape.name) + "_slots" +
+               std::to_string(info.param.bufferSlots);
+    });
 
 /** Hot-spot traffic (everyone to one tile) also drains. */
 TEST(Network, HotSpotTrafficDrains)
