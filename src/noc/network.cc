@@ -1,6 +1,7 @@
 #include "noc/network.hh"
 
 #include <bit>
+#include <limits>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -26,6 +27,9 @@ Network::Network(const NocConfig& config, DeliverFn deliver,
              "channel count out of range: ", config_.numChannels);
     fatal_if(config_.bufferSlots < 2,
              "bubble flow control needs >= 2 buffer slots per channel");
+    fatal_if(config_.bufferSlots > std::numeric_limits<std::uint16_t>::max(),
+             "buffer slots ", config_.bufferSlots,
+             " exceed what a 16-bit FIFO counter holds");
     for (unsigned c = 0; c < config_.numChannels; ++c) {
         fatal_if(config_.msgWords[c] == 0 ||
                      config_.msgWords[c] > maxMsgWords,
@@ -37,32 +41,23 @@ Network::Network(const NocConfig& config, DeliverFn deliver,
     routerActiveUntil_.assign(topo_.numTiles(), 0);
 
     // One arena allocation backs every (router, port, channel) ring
-    // buffer — no per-buffer heap blocks on the hot path.
-    unsigned active_ports = 0;
+    // buffer, and one array every waiter mask, both sized to the
+    // ports and channels in use.
+    unsigned ports = 0;
     for (unsigned p = 0; p < numPorts; ++p) {
         if (topo_.portActive(static_cast<Port>(p)))
-            ++active_ports;
+            ports = p + 1;
     }
-    bufferArena_.resize(std::size_t(topo_.numTiles()) * active_ports *
-                        config_.numChannels * config_.bufferSlots);
-    std::size_t arena_next = 0;
+    pairStride_ = ports * config_.numChannels;
+    bufferArena_.resize(std::size_t(topo_.numTiles()) * pairStride_ *
+                        config_.bufferSlots);
+    waiters_.assign(std::size_t(topo_.numTiles()) * pairStride_, 0);
 
     for (TileId r = 0; r < routers_.size(); ++r) {
-        Router& router = routers_[r];
         for (unsigned p = 0; p < numPorts; ++p) {
             const auto port = static_cast<Port>(p);
-            if (topo_.hasNeighbor(r, port))
-                router.neighborId[p] = topo_.neighbor(r, port);
-            else
-                router.neighborId[p] = r;
-            if (!topo_.portActive(port))
-                continue;
-            for (unsigned c = 0; c < config_.numChannels; ++c) {
-                Fifo& fifo = router.buffers[p][c];
-                fifo.slots = &bufferArena_[arena_next];
-                fifo.capacity = config_.bufferSlots;
-                arena_next += config_.bufferSlots;
-            }
+            routers_[r].neighborId[p] =
+                topo_.hasNeighbor(r, port) ? topo_.neighbor(r, port) : r;
         }
     }
     setNumShards(1);
@@ -109,9 +104,20 @@ Network::activateRouter(TileId router_id)
 void
 Network::routeInto(TileId router, Port in_port, InFlight& entry) const
 {
-    entry.outPort = topo_.route(router, entry.msg.dest);
+    entry.outPort = topo_.route(router, entry.dest);
     entry.needSlots =
         topo_.entersRing(in_port, entry.outPort) ? 2 : 1;
+}
+
+void
+Network::pushEntry(TileId router, unsigned pair, const InFlight& entry)
+{
+    Fifo& fifo = routers_[router].fifos[pair];
+    unsigned tail = fifo.head + fifo.count;
+    if (tail >= config_.bufferSlots)
+        tail -= config_.bufferSlots;
+    slotsOf(router, pair)[tail] = entry;
+    ++fifo.count;
 }
 
 void
@@ -144,18 +150,17 @@ Network::tryInject(const Message& msg, TileId src, Cycle now,
     Router& router = routers_[src];
     if (router.injectFreeAt > now)
         return InjectResult::portBusy;
-    Fifo& fifo = router.buffers[portLocal][msg.channel];
-    if (fifo.free() == 0) {
+    const unsigned pair = portLocal * config_.numChannels + msg.channel;
+    if (router.fifos[pair].count == config_.bufferSlots) {
         router.injectBlocked |= std::uint8_t(1) << msg.channel;
         return InjectResult::bufferFull;
     }
 
-    InFlight entry{msg, now, portLocal, 1};
+    InFlight entry{now, msg.dest, msg.words, msg.channel, msg.numWords,
+                   portLocal, 1};
     routeInto(src, portLocal, entry);
-    fifo.push(entry);
-    router.occupancy |=
-        std::uint64_t(1) << (portLocal * config_.numChannels +
-                             msg.channel);
+    pushEntry(src, pair, entry);
+    router.occupancy |= std::uint64_t(1) << pair;
     router.injectFreeAt = now + msg.numWords;
     router.wakeAt = 0;
     activateRouter(src);
@@ -188,9 +193,11 @@ bool
 Network::tryMove(TileId router_id, Port in_port, ChannelId channel,
                  Cycle now, Shard& shard, Cycle& retryAt)
 {
+    const unsigned channels = config_.numChannels;
+    const unsigned pair = in_port * channels + channel;
     Router& router = routers_[router_id];
-    Fifo& fifo = router.buffers[in_port][channel];
-    InFlight& entry = fifo.front();
+    const InFlight& entry =
+        slotsOf(router_id, pair)[router.fifos[pair].head];
     if (entry.arrival >= now) {
         // Arrived this cycle; can move next cycle at the earliest.
         retryAt = std::min(retryAt, entry.arrival + 1);
@@ -203,22 +210,21 @@ Network::tryMove(TileId router_id, Port in_port, ChannelId channel,
         return false;
     }
 
-    const Message& msg = entry.msg;
-    const unsigned len = msg.numWords;
-
-    const std::uint64_t pair_bit =
-        std::uint64_t(1) << (in_port * config_.numChannels + channel);
+    const unsigned len = entry.numWords;
+    const std::uint64_t pair_bit = std::uint64_t(1) << pair;
 
     if (out_port == portLocal) {
         // Arrived: offer to the TSU; it may refuse (IQ full). The
         // delivery mutates only this router's own tile, so it is
         // shard-local and applied during compute.
+        const Message msg{entry.dest, entry.channel, entry.numWords,
+                          entry.words};
         if (!deliver_(msg)) {
             ++shard.stats.deliveryStalls;
             // Sleep until the engine frees IQ space (wakeRouter).
             router.blocked |= pair_bit;
-            router.waiters[portLocal * config_.numChannels +
-                           channel] |= pair_bit;
+            waiters_[waiterBase(router_id) + portLocal * channels +
+                     channel] |= pair_bit;
             return false;
         }
         router.linkFreeAt[portLocal] = now + len;
@@ -232,22 +238,22 @@ Network::tryMove(TileId router_id, Port in_port, ChannelId channel,
 
     const TileId next_id = router.neighborId[out_port];
     const Port next_in = Topology::oppositePort(out_port);
-    Router& next = routers_[next_id];
-    Fifo& dst = next.buffers[next_in][channel];
+    const Fifo& dst = routers_[next_id].fifos[next_in * channels + channel];
 
     // Bubble rule: entering a torus ring must leave one slot free.
     // `dst.count` is start-of-cycle exact: pops are deferred to the
     // commit and this link is the buffer's only pusher (and the link
     // serialization above keeps it to one push per cycle).
-    if (dst.free() < entry.needSlots) {
+    if (config_.bufferSlots - dst.count < entry.needSlots) {
         // Sleep until a pop on that downstream buffer wakes us.
         router.blocked |= pair_bit;
-        router.waiters[out_port * config_.numChannels + channel] |=
+        waiters_[waiterBase(router_id) + out_port * channels + channel] |=
             pair_bit;
         return false;
     }
 
-    StagedPush forwarded{next_id, next_in, {msg, now, portLocal, 1}};
+    StagedPush forwarded{next_id, next_in, entry};
+    forwarded.entry.arrival = now;
     routeInto(next_id, next_in, forwarded.entry);
     shard.pushesTo[routerShard_[next_id]].push_back(forwarded);
     router.linkFreeAt[out_port] = now + len;
@@ -364,13 +370,12 @@ Network::commitShard(unsigned shard_index, Cycle)
     for (const StagedPop& pop : mine.pops) {
         DLX_OWN_WRITE(ownershipDomain(), pop.router, "commitPop");
         Router& router = routers_[pop.router];
-        Fifo& fifo = router.buffers[pop.inPort][pop.channel];
-        fifo.pop();
-        if (fifo.empty()) {
-            router.occupancy &=
-                ~(std::uint64_t(1)
-                  << (pop.inPort * channels + pop.channel));
-        }
+        const unsigned pair = pop.inPort * channels + pop.channel;
+        Fifo& fifo = router.fifos[pair];
+        if (++fifo.head == config_.bufferSlots)
+            fifo.head = 0;
+        if (--fifo.count == 0)
+            router.occupancy &= ~(std::uint64_t(1) << pair);
         // A pop on the local input buffer frees injection space: let
         // the engine retry the tile's stalled channels (the upstream
         // wake of a non-local pop was staged into wakesTo of the
@@ -393,10 +398,12 @@ Network::commitShard(unsigned shard_index, Cycle)
         for (const StagedWake& wake : from.wakesTo[shard_index]) {
             DLX_OWN_WRITE(ownershipDomain(), wake.router,
                           "commitWake");
-            Router& up = routers_[wake.router];
-            if (up.waiters[wake.slot] != 0) {
-                up.blocked &= ~up.waiters[wake.slot];
-                up.waiters[wake.slot] = 0;
+            std::uint64_t& waiting =
+                waiters_[waiterBase(wake.router) + wake.slot];
+            if (waiting != 0) {
+                Router& up = routers_[wake.router];
+                up.blocked &= ~waiting;
+                waiting = 0;
                 up.wakeAt = 0;
                 // A blocked head implies occupancy, so the upstream
                 // router is already listed; this re-add is a
@@ -409,12 +416,11 @@ Network::commitShard(unsigned shard_index, Cycle)
         for (const StagedPush& push : from.pushesTo[shard_index]) {
             DLX_OWN_WRITE(ownershipDomain(), push.router,
                           "commitPush");
+            const unsigned pair =
+                push.inPort * channels + push.entry.channel;
+            pushEntry(push.router, pair, push.entry);
             Router& dst = routers_[push.router];
-            dst.buffers[push.inPort][push.entry.msg.channel].push(
-                push.entry);
-            dst.occupancy |=
-                std::uint64_t(1) << (push.inPort * channels +
-                                     push.entry.msg.channel);
+            dst.occupancy |= std::uint64_t(1) << pair;
             dst.wakeAt = 0;
             activateRouter(push.router);
         }

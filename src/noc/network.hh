@@ -53,6 +53,18 @@
  * the grid therefore cost nothing per cycle; `full` mode keeps the
  * exhaustive range scan as a byte-identical reference oracle.
  *
+ * State layout: routers are the scan's working set, so each Router
+ * keeps only what the scan reads every visit — the occupancy, blocked
+ * and defer masks, the wake cycles, a 4-byte ring cursor per
+ * (port, channel) buffer, and per-port link and neighbour state. The
+ * rest lives in flat network-wide arrays sized to the ports and
+ * channels in use: the buffered entries in bufferArena_ and the
+ * waiter masks (written when a head blocks, read by a commit wake) in
+ * waiters_. Both are strided by pairStride_ = (highest active port +
+ * 1) x numChannels (pairs per router). On a 64x64 two-channel torus
+ * the routers take 1.3 MB instead of 5.4 MB, and the buffer slots
+ * 5.2 MB instead of 6.5 MB.
+ *
  * Simplifications vs RTL (documented in DESIGN.md): buffers are counted
  * in message slots rather than a shared per-direction flit pool, and a
  * link serializes whole messages across channels instead of
@@ -63,6 +75,7 @@
 #ifndef DALOREX_NOC_NETWORK_HH
 #define DALOREX_NOC_NETWORK_HH
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -86,7 +99,8 @@ struct NocConfig
     std::uint32_t numChannels = 2;
     /** Flits per message on each channel (known statically). */
     std::array<std::uint8_t, maxChannels> msgWords = {3, 2, 0, 0};
-    /** Capacity of each (input port, channel) buffer, in messages. */
+    /** Capacity of each (input port, channel) buffer, in messages:
+     *  at least 2 (bubble rule), at most 65535 (16-bit counters). */
     std::uint32_t bufferSlots = 4;
     /**
      * Compute-phase scan mode (simulator only; never changes timing
@@ -226,7 +240,8 @@ class Network
         Router& r = routers_[router];
         r.blocked = 0;
         r.wakeAt = 0;
-        r.waiters.fill(0);
+        std::fill_n(waiters_.begin() + waiterBase(router), pairStride_,
+                    0);
     }
 
 #if DALOREX_OWNERSHIP_CHECKS
@@ -273,50 +288,39 @@ class Network
      * A buffered message plus the cycle its head arrived here and its
      * pre-routed exit. The output port is fixed by dimension-ordered
      * routing the moment the message enters a router, so it is
-     * computed once per hop (at push) instead of on every retry.
+     * computed once per hop (at push) instead of on every retry. The
+     * Message fields sit beside the routing fields instead of in a
+     * nested (padded) Message, so an entry packs into 32 bytes;
+     * delivery rebuilds the Message.
      */
     struct InFlight
     {
-        Message msg;
         Cycle arrival;
+        TileId dest;
+        std::array<Word, maxMsgWords> words;
+        ChannelId channel;
+        std::uint8_t numWords;
         Port outPort;
         std::uint8_t needSlots; //!< bubble rule: 2 on ring entry
     };
+    static_assert(sizeof(InFlight) == 32, "an entry is half a line");
 
     /**
-     * Fixed-capacity ring buffer of in-flight messages. Storage lives
-     * in the network-wide arena (one allocation for every buffer of
-     * every router) instead of per-buffer heap blocks.
+     * Ring cursor of one (port, channel) input buffer. Its slots live
+     * in bufferArena_ (slotsOf) and its capacity is the network-wide
+     * config_.bufferSlots, so the cursor is all a router holds.
      */
     struct Fifo
     {
-        InFlight* slots = nullptr;
-        std::uint32_t capacity = 0;
-        std::uint32_t head = 0;
-        std::uint32_t count = 0;
-
-        bool empty() const { return count == 0; }
-        std::uint32_t free() const { return capacity - count; }
-        InFlight& front() { return slots[head]; }
-        void
-        pop()
-        {
-            head = (head + 1) % capacity;
-            --count;
-        }
-        void
-        push(const InFlight& entry)
-        {
-            slots[(head + count) % capacity] = entry;
-            ++count;
-        }
+        std::uint16_t head = 0;
+        std::uint16_t count = 0;
     };
 
     struct Router
     {
         // Hot scan scalars lead the struct so the per-cycle
-        // pending/wake checks touch one cache line before any of the
-        // (much larger) buffer and waiter state.
+        // pending/wake checks touch one cache line before the
+        // buffer cursors and per-port state.
 
         /** Non-empty (port, channel) pairs, bit port*channels+chan. */
         std::uint64_t occupancy = 0;
@@ -359,22 +363,15 @@ class Network
          */
         std::uint8_t injectBlocked = 0;
 
-        /** buffers[port][channel]; portLocal holds injected traffic. */
-        std::array<std::array<Fifo, maxChannels>, numPorts> buffers;
+        /** fifos[port * numChannels + channel] — the same pair index
+         *  as the masks; portLocal holds injected traffic. */
+        std::array<Fifo, numPorts * maxChannels> fifos{};
         /** Link occupancy per output port (wormhole serialization). */
         std::array<Cycle, numPorts> linkFreeAt{};
         /** Downstream router id per output port (precomputed). */
         std::array<TileId, numPorts> neighborId{};
-        /**
-         * waiters[outPort * numChannels + channel]: the pairs asleep
-         * in `blocked` because that specific downstream buffer (or,
-         * for portLocal, the tile's input queues) was full. A commit
-         * pop on the downstream buffer wakes exactly this set instead
-         * of every blocked pair of the router, so congestion retries
-         * fire only when the awaited slot actually freed.
-         */
-        std::array<std::uint64_t, numPorts * maxChannels> waiters{};
     };
+    static_assert(sizeof(Router) <= 320, "a router spans 5 lines");
 
     /** One staged cross-router (or deferred intra-router) effect. */
     struct StagedPop
@@ -392,14 +389,14 @@ class Network
     /**
      * A staged upstream wake: the pop of a buffer frees the slot its
      * feeder is sleeping on, so the commit re-arms exactly the pairs
-     * recorded in waiters[slot] of the upstream router. Staged at pop
+     * recorded in the upstream router's waiter mask `slot`. Staged at pop
      * time with the upstream id precomputed, bucketed by the
      * *upstream* router's shard — the wake mutates that router.
      */
     struct StagedWake
     {
         TileId router;      //!< upstream router to re-arm
-        std::uint16_t slot; //!< its waiters[] slot to wake
+        std::uint16_t slot; //!< its waiter mask to wake
     };
 
     /** Per-shard staging buffers and stat accumulators. Cache-line
@@ -462,13 +459,44 @@ class Network
     /** Fill the pre-routed fields of a message entering `router`. */
     void routeInto(TileId router, Port in_port, InFlight& entry) const;
 
+    /** The ring-buffer slots of `pair` at `router`. */
+    InFlight*
+    slotsOf(TileId router, unsigned pair)
+    {
+        return &bufferArena_[(std::size_t(router) * pairStride_ + pair) *
+                             config_.bufferSlots];
+    }
+    /** Index of the router's first waiter mask in waiters_. */
+    std::size_t
+    waiterBase(TileId router) const
+    {
+        return std::size_t(router) * pairStride_;
+    }
+    void pushEntry(TileId router, unsigned pair, const InFlight& entry);
+
     NocConfig config_;
     Topology topo_;
     DeliverFn deliver_;
     InjectSpaceFn onInjectSpace_;
     std::vector<Router> routers_;
-    /** Backing storage of every Fifo in every router. */
+    /** Pairs per router in the flat arrays: (highest active port +
+     *  1) x numChannels. Strided by the highest port, not the count
+     *  of ports: a 1-wide torus-ruche grid uses the ruche north/south
+     *  ports but not ruche east/west, which are numbered below them. */
+    unsigned pairStride_ = 0;
+    /** Slots of every buffer: [(router * pairStride_ + pair) *
+     *  bufferSlots + i], one allocation for the whole network. */
     std::vector<InFlight> bufferArena_;
+    /**
+     * waiters_[router * pairStride_ + outPort * numChannels +
+     * channel]: the pairs asleep in `blocked` because that specific
+     * downstream buffer (or, for portLocal, the tile's input queues)
+     * was full. A commit pop on the downstream buffer wakes exactly
+     * this set instead of every blocked pair of the router, so
+     * congestion retries fire only when the awaited slot actually
+     * freed. Off the scan path, so kept out of Router.
+     */
+    std::vector<std::uint64_t> waiters_;
     std::vector<Cycle> routerActive_;
     std::vector<Cycle> routerActiveUntil_;
     std::vector<Shard> shards_;

@@ -509,5 +509,24 @@ TEST(Network, RejectsBadMessages)
     EXPECT_DEATH((void)net.tryInject(far, 0, 0), "bad tile");
 }
 
+TEST(Network, BufferSlotsFitTheFifoCounters)
+{
+    // Head and count are 16-bit: 65535 slots is the largest capacity
+    // they represent, and one more must be refused up front.
+    Sink sink;
+    NocConfig config = smallConfig(NocTopology::torus, 1);
+    config.numChannels = 1;
+    config.bufferSlots = 65535;
+    {
+        Network net(config, sink.fn());
+        EXPECT_EQ(net.tryInject(makeMsg(0, 0, 3), 0, 0),
+                  InjectResult::ok);
+        drain(net, sink, 0);
+        EXPECT_EQ(sink.delivered.size(), 1u);
+    }
+    config.bufferSlots = 65536;
+    EXPECT_DEATH({ Network net(config, sink.fn()); }, "16-bit");
+}
+
 } // namespace
 } // namespace dalorex
