@@ -1,10 +1,10 @@
 /**
  * @file
- * TSU scheduling ablation (DESIGN.md Sec. 6): round-robin vs the
- * occupancy-based traffic-aware policy, and a sweep of the policy's
- * two thresholds (IQ-high, OQ-low). The paper reports that the
- * occupancy-based priority beat every static priority and round-robin
- * scheme it was tested against (Sec. III-E).
+ * TSU scheduling ablation (README "Modelling substitutions"):
+ * round-robin vs the occupancy-based traffic-aware policy, and a
+ * sweep of the policy's two thresholds (IQ-high, OQ-low). The paper
+ * reports that the occupancy-based priority beat every static priority
+ * and round-robin scheme it was tested against (Sec. III-E).
  */
 
 #include <cstdio>

@@ -102,8 +102,8 @@ BaselineRun runTesseractBaseline(const KernelSetup& setup,
 
 /**
  * The Fig. 5/8/9 dataset set: AZ, WK, LJ and the RMAT entry (the
- * paper's R22). Quick scale uses 2^15..2^16-vertex stand-ins; full
- * scale uses the 2^18 stand-ins of DESIGN.md.
+ * paper's R22). Quick scale uses 2^14..2^15-vertex stand-ins; full
+ * scale uses the 2^18 stand-ins (README "Modelling substitutions").
  */
 std::vector<Dataset> figDatasets(const BenchOptions& opts);
 

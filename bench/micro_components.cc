@@ -4,8 +4,8 @@
  * simulator — regression tracking for the infrastructure itself (not
  * a paper figure): RMAT generation, CSR construction, queue
  * operations, routing, TSU arbitration, partition mapping, and a
- * small end-to-end BFS run, plus the OQT2 sizing ablation DESIGN.md
- * calls out.
+ * small end-to-end BFS run, plus the OQT2 sizing ablation (README
+ * "Modelling substitutions").
  */
 
 #include <benchmark/benchmark.h>
@@ -205,7 +205,8 @@ BENCHMARK(BM_EngineScanMode)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/** OQT2 sizing ablation (DESIGN.md Sec. 6): cycles vs OQT2. */
+/** OQT2 sizing ablation (README "Modelling substitutions"): cycles
+ *  vs OQT2. */
 void
 BM_Oqt2Sizing(benchmark::State& state)
 {

@@ -13,13 +13,13 @@
  * *interrupt* the receiving core, "incurring 50-cycle penalties"
  * (Sec. II-C). Every epoch ends with a global barrier.
  *
- * Timing model (documented substitution for the authors' Zsim setup,
- * DESIGN.md Sec. 3): per epoch, each core's cycles are the sum of its
- * compute phase (vertex reads + edge streaming + message issue) and
- * its apply phase (interrupt + DRAM read-modify-write per received
- * call); inter-cube traffic serializes over the cube's SerDes links;
- * the epoch takes the maximum core time plus communication and barrier
- * costs. The Tesseract-LC variant gives each core an SRAM-speed 2MB
+ * Timing model (a substitution for the authors' Zsim setup, README
+ * "Modelling substitutions"): per epoch, each core's cycles are the
+ * sum of its compute phase (vertex reads + edge streaming + message
+ * issue) and its apply phase (interrupt + DRAM read-modify-write per
+ * received call); inter-cube traffic serializes over the cube's SerDes
+ * links; the epoch takes the maximum core time plus communication and
+ * barrier costs. The Tesseract-LC variant gives each core an SRAM-speed 2MB
  * cache and removes DRAM background power (Fig. 5's Tesseract-LC bar).
  */
 

@@ -6,7 +6,8 @@
  * Wikipedia (V=4.2M, E=101M), LiveJournal (V=5.3M, E=79M) — and RMAT
  * graphs of scale 16/22/25/26. This environment has no network access to
  * SNAP downloads, and full-scale cycle-level simulation of the largest
- * inputs exceeds the time budget, so (per DESIGN.md Sec. 3):
+ * inputs exceeds the time budget, so (README "Modelling
+ * substitutions"):
  *
  *  - `amazon` is generated synthetically at the paper's FULL size
  *    (V=262,144, E~1.2M) with mild degree skew matching a co-purchase

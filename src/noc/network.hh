@@ -61,13 +61,13 @@
  * channels in use: the buffered entries in bufferArena_ and the
  * waiter masks (written when a head blocks, read by a commit wake) in
  * waiters_. Both are strided by pairStride_ = (highest active port +
- * 1) x numChannels (pairs per router). On a 64x64 two-channel torus
- * the routers take 1.3 MB instead of 5.4 MB, and the buffer slots
- * 5.2 MB instead of 6.5 MB.
+ * 1) x numChannels (pairs per router). A 64x64 two-channel torus with
+ * 4-slot buffers holds 1.3 MB of routers (312 B each, so they fit in
+ * a 2 MB L2), 5.2 MB of buffer slots and 0.3 MB of waiter masks.
  *
- * Simplifications vs RTL (documented in DESIGN.md): buffers are counted
- * in message slots rather than a shared per-direction flit pool, and a
- * link serializes whole messages across channels instead of
+ * Simplifications vs RTL (README "Modelling substitutions"): buffers
+ * are counted in message slots rather than a shared per-direction flit
+ * pool, and a link serializes whole messages across channels instead of
  * interleaving virtual-channel flits. Both conserve link bandwidth and
  * buffer capacity exactly.
  */
@@ -303,7 +303,7 @@ class Network
         Port outPort;
         std::uint8_t needSlots; //!< bubble rule: 2 on ring entry
     };
-    static_assert(sizeof(InFlight) == 32, "an entry is half a line");
+    static_assert(sizeof(InFlight) == 32, "InFlight packs into 32 bytes");
 
     /**
      * Ring cursor of one (port, channel) input buffer. Its slots live
@@ -371,7 +371,7 @@ class Network
         /** Downstream router id per output port (precomputed). */
         std::array<TileId, numPorts> neighborId{};
     };
-    static_assert(sizeof(Router) <= 320, "a router spans 5 lines");
+    static_assert(sizeof(Router) <= 320, "Router fits in 5 cache lines");
 
     /** One staged cross-router (or deferred intra-router) effect. */
     struct StagedPop
@@ -472,6 +472,7 @@ class Network
     {
         return std::size_t(router) * pairStride_;
     }
+    /** Append `entry` to the ring buffer of `pair` at `router`. */
     void pushEntry(TileId router, unsigned pair, const InFlight& entry);
 
     NocConfig config_;

@@ -3,9 +3,10 @@
  * Tests for the flit-level network: delivery latency, wormhole link
  * serialization, per-channel FIFO order, endpoint backpressure, the
  * injection port, and the no-deadlock drain property under random
- * traffic on every topology (the bubble-rule check DESIGN.md calls
- * out). NocGolden pins the cycle-level behaviour under seeded traffic
- * to hashes recorded from a known-good build.
+ * traffic on every topology (which checks the bubble rule, README
+ * "Modelling substitutions"). NocGolden pins the cycle-level
+ * behaviour under seeded traffic to hashes recorded from a known-good
+ * build.
  */
 
 #include <gtest/gtest.h>
