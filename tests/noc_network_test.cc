@@ -14,7 +14,6 @@
 #include <deque>
 #include <map>
 #include <ostream>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -451,8 +450,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{rucheRows, 2, 0xc17c7cd391db4f7bull},
                       GoldenCase{rucheRows, 4, 0x61fa3b6ad7dd8b4full}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
-        return std::string(info.param.shape.name) + "_slots" +
-               std::to_string(info.param.bufferSlots);
+        return ::testing::PrintToString(info.param);
     });
 
 /** Hot-spot traffic (everyone to one tile) also drains. */
