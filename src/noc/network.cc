@@ -223,8 +223,8 @@ Network::tryMove(TileId router_id, Port in_port, ChannelId channel,
             ++shard.stats.deliveryStalls;
             // Sleep until the engine frees IQ space (wakeRouter).
             router.blocked |= pair_bit;
-            waiters_[waiterBase(router_id) + portLocal * channels +
-                     channel] |= pair_bit;
+            waitersOf(router_id)[portLocal * channels + channel] |=
+                pair_bit;
             return false;
         }
         router.linkFreeAt[portLocal] = now + len;
@@ -247,8 +247,7 @@ Network::tryMove(TileId router_id, Port in_port, ChannelId channel,
     if (config_.bufferSlots - dst.count < entry.needSlots) {
         // Sleep until a pop on that downstream buffer wakes us.
         router.blocked |= pair_bit;
-        waiters_[waiterBase(router_id) + out_port * channels + channel] |=
-            pair_bit;
+        waitersOf(router_id)[out_port * channels + channel] |= pair_bit;
         return false;
     }
 
@@ -398,8 +397,7 @@ Network::commitShard(unsigned shard_index, Cycle)
         for (const StagedWake& wake : from.wakesTo[shard_index]) {
             DLX_OWN_WRITE(ownershipDomain(), wake.router,
                           "commitWake");
-            std::uint64_t& waiting =
-                waiters_[waiterBase(wake.router) + wake.slot];
+            std::uint64_t& waiting = waitersOf(wake.router)[wake.slot];
             if (waiting != 0) {
                 Router& up = routers_[wake.router];
                 up.blocked &= ~waiting;

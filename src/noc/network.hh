@@ -240,8 +240,7 @@ class Network
         Router& r = routers_[router];
         r.blocked = 0;
         r.wakeAt = 0;
-        std::fill_n(waiters_.begin() + waiterBase(router), pairStride_,
-                    0);
+        std::fill_n(waitersOf(router), pairStride_, 0);
     }
 
 #if DALOREX_OWNERSHIP_CHECKS
@@ -466,11 +465,11 @@ class Network
         return &bufferArena_[(std::size_t(router) * pairStride_ + pair) *
                              config_.bufferSlots];
     }
-    /** Index of the router's first waiter mask in waiters_. */
-    std::size_t
-    waiterBase(TileId router) const
+    /** The waiter masks of `router`, indexed like its pairs. */
+    std::uint64_t*
+    waitersOf(TileId router)
     {
-        return std::size_t(router) * pairStride_;
+        return &waiters_[std::size_t(router) * pairStride_];
     }
     /** Append `entry` to the ring buffer of `pair` at `router`. */
     void pushEntry(TileId router, unsigned pair, const InFlight& entry);
