@@ -356,11 +356,7 @@ renderJson(const Report& report)
         << "\","
         << "\"barrier\":" << (o.machine.barrier ? "true" : "false")
         << ","
-        << "\"invoke_overhead\":" << o.machine.invokeOverhead << ","
-        << "\"engine_threads\":"
-        << std::max(1u, o.machine.engineThreads) << ","
-        << "\"engine_scan\":\"" << toString(o.machine.engineScan)
-        << "\"},";
+        << "\"invoke_overhead\":" << o.machine.invokeOverhead << "},";
     out << "\"stats\":{"
         << "\"cycles\":" << s.cycles << ","
         << "\"epochs\":" << s.epochs << ","
@@ -383,24 +379,7 @@ renderJson(const Report& report)
         << "\"flit_hops\":" << s.noc.flitHops << ","
         << "\"flit_wire_tiles\":" << s.noc.flitWireTiles << ","
         << "\"router_passages\":" << s.noc.routerPassages << ","
-        << "\"delivery_stalls\":" << s.noc.deliveryStalls << "},"
-        // Simulator execution metrics: how much scan work the engine
-        // itself did. These vary with --engine-scan (and are the only
-        // stats that may), so the determinism suite normalizes them
-        // out before byte-comparing reports.
-        << "\"engine\":{"
-        << "\"stepped_cycles\":" << s.engineSteppedCycles << ","
-        << "\"noc_stepped_cycles\":" << s.nocSteppedCycles << ","
-        << "\"tile_scans\":" << s.tileScans << ","
-        << "\"router_scans\":" << s.routerScans << ","
-        << "\"active_tile_cycles_saved\":" << s.activeTileCyclesSaved
-        << ","
-        << "\"active_router_cycles_saved\":"
-        << s.activeRouterCyclesSaved << ","
-        << "\"tile_scan_occupancy\":"
-        << Table::num(s.tileScanOccupancy()) << ","
-        << "\"router_scan_occupancy\":"
-        << Table::num(s.routerScanOccupancy()) << "}},";
+        << "\"delivery_stalls\":" << s.noc.deliveryStalls << "}},";
     out << "\"energy\":{"
         << "\"logic_j\":" << Table::num(report.energy.logicJ) << ","
         << "\"memory_j\":" << Table::num(report.energy.memoryJ) << ","
@@ -417,9 +396,40 @@ renderJson(const Report& report)
     out << "\"memory_bandwidth_bytes_per_sec\":"
         << Table::num(report.bandwidthBytesPerSec) << ",";
     out << "\"status\":\"" << toString(s.status) << "\",";
-    out << "\"validated\":" << (report.validated ? "true" : "false");
+    out << "\"validated\":" << (report.validated ? "true" : "false")
+        << ",";
+    // How the simulator ran, not what it simulated: the engine thread
+    // count, the scan mode and the engine's own work. Last, so
+    // withoutExecution() cuts it off and every identity check compares
+    // the rest of the report as is.
+    out << "\"execution\":{"
+        << "\"engine_threads\":" << std::max(1u, o.machine.engineThreads)
+        << ","
+        << "\"engine_scan\":\"" << toString(o.machine.engineScan)
+        << "\","
+        << "\"stepped_cycles\":" << s.engineSteppedCycles << ","
+        << "\"noc_stepped_cycles\":" << s.nocSteppedCycles << ","
+        << "\"tile_scans\":" << s.tileScans << ","
+        << "\"router_scans\":" << s.routerScans << ","
+        << "\"active_tile_cycles_saved\":" << s.activeTileCyclesSaved
+        << ","
+        << "\"active_router_cycles_saved\":"
+        << s.activeRouterCyclesSaved << ","
+        << "\"tile_scan_occupancy\":"
+        << Table::num(s.tileScanOccupancy()) << ","
+        << "\"router_scan_occupancy\":"
+        << Table::num(s.routerScanOccupancy()) << "}";
     out << "}\n";
     return out.str();
+}
+
+std::string
+withoutExecution(const std::string& json)
+{
+    const std::size_t at = json.rfind(",\"execution\":{");
+    if (at == std::string::npos)
+        return json;
+    return json.substr(0, at) + "}\n";
 }
 
 std::string

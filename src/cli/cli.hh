@@ -136,10 +136,7 @@ struct Report
     double bandwidthBytesPerSec = 0.0;
     /** Host wall time of Machine::run alone (simulator speed). Not
      *  rendered in the JSON/text reports, which therefore stay
-     *  byte-identical across reruns of the same scenario; between
-     *  --engine-scan modes the reports differ only in the
-     *  engine_scan field and the stats.engine scan counters, which
-     *  determinism_test and tools/bench_pr5.py normalize out. */
+     *  byte-identical across reruns of the same scenario. */
     double engineWallSeconds = 0.0;
     bool validated = false;
 };
@@ -192,8 +189,20 @@ RunOutcome runScenario(const Options& options,
                        EngineArenas* pool = nullptr,
                        RunControl control = {});
 
-/** Render a report as a single valid JSON object (with newline). */
+/**
+ * Render a report as a single valid JSON object (with newline). Its
+ * last member, `execution`, says how the simulator ran: the engine
+ * thread count and the engine's own scan work. Everything before it
+ * describes the simulated machine and its results.
+ */
 std::string renderJson(const Report& report);
+
+/**
+ * A renderJson report without its trailing `execution` object: the
+ * bytes every identity check compares. Runs of one scenario on any
+ * engine thread count render the same bytes here.
+ */
+std::string withoutExecution(const std::string& json);
 
 /** Render a report as a human-readable text block. */
 std::string renderText(const Report& report);

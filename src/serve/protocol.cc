@@ -379,20 +379,6 @@ parseReportPayload(const std::string& payload,
         !u64At(*noc, "delivery_stalls", s.noc.deliveryStalls))
         return false;
 
-    if (const JsonValue* engine = stats->find("engine");
-        engine != nullptr && engine->isObject()) {
-        (void)u64At(*engine, "stepped_cycles", s.engineSteppedCycles);
-        (void)u64At(*engine, "noc_stepped_cycles",
-                    s.nocSteppedCycles);
-        (void)u64At(*engine, "tile_scans", s.tileScans);
-        (void)u64At(*engine, "router_scans", s.routerScans);
-        (void)u64At(*engine, "active_tile_cycles_saved",
-                    s.activeTileCyclesSaved);
-        (void)u64At(*engine, "active_router_cycles_saved",
-                    s.activeRouterCyclesSaved);
-        err.clear(); // engine counters are simulator-only; optional
-    }
-
     // Older payloads predate the status field; absence means the run
     // completed (the only status they could report).
     if (const JsonValue* status = root.find("status");

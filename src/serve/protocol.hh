@@ -133,11 +133,13 @@ bool extractResultPayload(const std::string& line, std::string& out);
  * Rebuild a cli::Report from a result payload. `submitted` must be
  * the options the request was built from — the report's scenario
  * identity (kernel, machine, seed, labels) comes from it, while the
- * measured facts (dataset name/size, every RunStats counter, the
- * validated flag) parse out of the payload. Derived quantities
- * (energy, seconds, bandwidth, utilization) are recomputed locally
- * from those integers, so a reconstructed report aggregates
- * byte-identically to one produced in-process.
+ * measured facts (dataset name/size, every counter under `stats`,
+ * the status and the validated flag) parse out of the payload; its
+ * `execution` object is not read. Derived quantities (energy,
+ * seconds, bandwidth, utilization) are recomputed locally from those
+ * integers, so a reconstructed report aggregates byte-identically to
+ * one produced in-process and renders the same bytes up to its
+ * execution object (cli::withoutExecution).
  */
 bool parseReportPayload(const std::string& payload,
                         const cli::Options& submitted,

@@ -418,6 +418,34 @@ TEST(CliMain, EngineThreadsSurfaceInJson)
     EXPECT_EQ(jsonUint(out, "engine_threads"), 4u);
 }
 
+TEST(CliMain, ExecutionObjectTrailsTheReport)
+{
+    // How the simulator ran sits in one trailing object; cut off, the
+    // rest of the report is well formed and equal across thread
+    // counts.
+    std::string one;
+    std::string four;
+    std::string err;
+    ASSERT_EQ(runCli({"--kernel", "bfs", "--width", "4", "--height",
+                      "4", "--scale", "8", "--json"},
+                     one, err),
+              0)
+        << err;
+    ASSERT_EQ(runCli({"--kernel", "bfs", "--width", "4", "--height",
+                      "4", "--scale", "8", "--engine-threads", "4",
+                      "--json"},
+                     four, err),
+              0)
+        << err;
+    EXPECT_NE(one, four);
+    const std::string core = withoutExecution(one);
+    expectWellFormedJson(core);
+    EXPECT_EQ(core.find("engine"), std::string::npos) << core;
+    EXPECT_EQ(core, withoutExecution(four));
+    EXPECT_EQ(one.rfind(",\"execution\":{\"engine_threads\":1,"),
+              core.size() - 2);
+}
+
 TEST(CliMain, EngineThreadsClampNoteOnStderrAndClampedJson)
 {
     std::string out;

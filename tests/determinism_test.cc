@@ -125,11 +125,9 @@ namespace
 {
 
 /**
- * Scenario JSON at `engine_threads` x `scan`, with the execution
- * facets — thread count, scan mode and the scan-occupancy counters
- * (the engine's own work, which differs between scan modes by
- * design) — normalized out so the strings compare byte-for-byte.
- * Everything architectural stays in the comparison.
+ * Scenario JSON at `engine_threads` x `scan` minus its `execution`
+ * object (cli::withoutExecution): how the simulator ran is cut off,
+ * everything architectural stays in the comparison.
  */
 std::string
 scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
@@ -144,20 +142,11 @@ scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
     options.machine.height = 4;
     options.machine.engineThreads = engine_threads;
     options.machine.engineScan = scan;
-    cli::RunOutcome outcome = cli::runScenario(options);
+    const cli::RunOutcome outcome = cli::runScenario(options);
     EXPECT_TRUE(outcome.ok) << outcome.error;
     if (stats_out != nullptr)
         *stats_out = outcome.report.stats;
-    outcome.report.options.machine.engineThreads = 0;
-    outcome.report.options.machine.engineScan = EngineScan::full;
-    RunStats& stats = outcome.report.stats;
-    stats.engineSteppedCycles = 0;
-    stats.nocSteppedCycles = 0;
-    stats.tileScans = 0;
-    stats.routerScans = 0;
-    stats.activeTileCyclesSaved = 0;
-    stats.activeRouterCyclesSaved = 0;
-    return cli::renderJson(outcome.report);
+    return cli::withoutExecution(cli::renderJson(outcome.report));
 }
 
 } // namespace

@@ -873,9 +873,10 @@ TEST(ReportReconstruction, RebuiltReportAggregatesIdentically)
                      local.report.energy.totalJ());
     EXPECT_DOUBLE_EQ(rebuilt.stats.utilization(),
                      local.report.stats.utilization());
-    // The reconstructed report renders the same JSON bytes again.
-    EXPECT_EQ(cli::renderJson(rebuilt),
-              cli::renderJson(local.report));
+    // The reconstructed report renders the same JSON bytes again, up
+    // to the execution object the payload parser does not read.
+    EXPECT_EQ(cli::withoutExecution(cli::renderJson(rebuilt)),
+              cli::withoutExecution(cli::renderJson(local.report)));
 }
 
 // --- stdin transport -------------------------------------------------

@@ -53,11 +53,7 @@ def normalized(report):
     match exactly between runs that differ only in those knobs.
     """
     clone = json.loads(json.dumps(report))
-    machine = clone["machine"]
-    for knob in ("engine_threads", "engine_scan"):
-        if knob in machine:
-            machine[knob] = None
-    clone["stats"]["engine"] = None
+    clone.pop("execution")
     return clone
 
 

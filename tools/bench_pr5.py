@@ -52,7 +52,7 @@ def main():
                 tag="bench_pr5")
             reports[scan] = report
             engine_walls[scan] = engine_wall
-            engine = report["stats"]["engine"]
+            engine = report["execution"]
             point[scan] = {
                 "wall_seconds": round(wall, 3),
                 "engine_wall_seconds": round(engine_wall, 3),
