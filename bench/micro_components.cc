@@ -162,49 +162,6 @@ BM_EndToEndBfs(benchmark::State& state)
 }
 BENCHMARK(BM_EndToEndBfs)->Unit(benchmark::kMillisecond);
 
-/**
- * Active-set stepping vs the full-scan oracle on one workload
- * (arg 0 = full, 1 = active). Cycles are identical by contract; the
- * wall-clock difference and the occupancy counters quantify the
- * scan work the active sets avoid.
- */
-void
-BM_EngineScanMode(benchmark::State& state)
-{
-    RmatParams params;
-    params.scale = 10;
-    params.edgeFactor = 8;
-    const Csr graph = rmatGraph(params);
-    const KernelSetup setup = makeKernelSetup("sssp", graph);
-    const auto scan = state.range(0) == 0 ? EngineScan::full
-                                          : EngineScan::active;
-    RunStats stats;
-    for (auto _ : state) {
-        auto app = setup.makeApp();
-        MachineConfig config;
-        config.width = 16;
-        config.height = 16;
-        config.engineScan = scan;
-        Machine machine(config, graph.numVertices, graph.numEdges);
-        stats = machine.run(*app);
-        benchmark::DoNotOptimize(stats);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        graph.numEdges);
-    state.counters["sim_cycles"] = static_cast<double>(stats.cycles);
-    state.counters["stepped_cycles"] =
-        static_cast<double>(stats.engineSteppedCycles);
-    state.counters["tile_scan_occ"] = stats.tileScanOccupancy();
-    state.counters["router_scan_occ"] = stats.routerScanOccupancy();
-    state.counters["tile_visits_saved"] =
-        static_cast<double>(stats.activeTileCyclesSaved);
-}
-BENCHMARK(BM_EngineScanMode)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 /** OQT2 sizing ablation (README "Modelling substitutions"): cycles
  *  vs OQT2. */
 void

@@ -399,14 +399,12 @@ renderJson(const Report& report)
     out << "\"validated\":" << (report.validated ? "true" : "false")
         << ",";
     // How the simulator ran, not what it simulated: the engine thread
-    // count, the scan mode and the engine's own work. Last, so
-    // withoutExecution() cuts it off and every identity check compares
-    // the rest of the report as is.
+    // count and the engine's own work. Last, so withoutExecution()
+    // cuts it off and every identity check compares the rest of the
+    // report as is.
     out << "\"execution\":{"
         << "\"engine_threads\":" << std::max(1u, o.machine.engineThreads)
         << ","
-        << "\"engine_scan\":\"" << toString(o.machine.engineScan)
-        << "\","
         << "\"stepped_cycles\":" << s.engineSteppedCycles << ","
         << "\"noc_stepped_cycles\":" << s.nocSteppedCycles << ","
         << "\"tile_scans\":" << s.tileScans << ","
@@ -458,8 +456,8 @@ renderText(const Report& report)
     out << "NoC               " << s.noc.messagesDelivered
         << " msgs, " << s.noc.flitHops << " flit-hops, "
         << s.noc.deliveryStalls << " stalls\n";
-    out << "engine scan       " << toString(o.machine.engineScan)
-        << ": " << s.engineSteppedCycles << " of " << s.cycles
+    out << "engine            " << s.engineSteppedCycles << " of "
+        << s.cycles
         << " cycles stepped, tile occupancy "
         << Table::num(100.0 * s.tileScanOccupancy())
         << " %, router occupancy "

@@ -41,8 +41,7 @@ struct Options
     unsigned datasetScale = 0;
     /** Kernel parameter overrides (`--param damping=0.9,...`),
      *  applied through each kernel's KernelDefaults; keys a kernel
-     *  declares unused are skipped. `--pagerank-iters N` survives as
-     *  a deprecated alias for iterations=N. */
+     *  declares unused are skipped. */
     std::vector<ParamOverride> params;
     std::uint64_t seed = 1;   //!< dataset/weight seed
     /**

@@ -237,15 +237,6 @@ buildAxes()
                          "every N)",
                 .sweep = S::list},
                &MachineConfig::engineThreads, 1, 256),
-        choice({.flag = "--engine-scan", .key = "engine_scan", .arg = "M",
-                .usage = ": step only the active tile/router worklists "
-                         "or keep the exhaustive per-cycle scan as a "
-                         "reference oracle; stats are byte-identical "
-                         "for both",
-                .sweep = S::one},
-               &MachineConfig::engineScan,
-               {{"full", EngineScan::full},
-                {"active", EngineScan::active}}),
         number({.key = "scratchpad_bytes",
                 .usage = "per-tile scratchpad provision in bytes (0 = "
                          "size to usage)"},
@@ -269,18 +260,6 @@ buildAxes()
                  text += (text.empty() ? "" : ",") + p.name + "=" +
                          formatDouble(p.value);
              return text;
-         }},
-        {.flag = "--pagerank-iters", .arg = "N",
-         .usage = "deprecated alias for --param iterations=N",
-         .sweep = S::one,
-         .parse = [](const std::string& name, const std::string& text,
-                     Options& o, std::string& err) {
-             std::uint32_t iters = 0;
-             err = name + " must be in [1, 1000], got " + text;
-             if (!parseU32(text, 1, 1000, iters))
-                 return false;
-             o.params.push_back({"iterations", double(iters)});
-             return true;
          }},
         number({.flag = "--seed", .key = "seed", .arg = "N",
                 .usage = "dataset/weight seed (default 1)",
@@ -423,11 +402,11 @@ finishScenario(Options& o)
                         std::to_string(m.rucheFactor) + ", got " + grid);
     }
 
-    // Every keyed axis must render to text its own row accepts, so
-    // options built in code (sweep plans, bench drivers) get the same
-    // range checks as parsed input.
+    // Every axis must render to text its own row accepts, so options
+    // built in code (sweep plans, bench drivers) get the same range
+    // checks as parsed input.
     for (const Axis& axis : scenarioAxes()) {
-        const Text text = axis.key != nullptr ? axis.render(o) : Text{};
+        const Text text = axis.render(o);
         Options scratch;
         std::string err;
         if (text && !(axis.kind == JsonKind::string && text->empty()) &&

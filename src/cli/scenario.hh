@@ -48,7 +48,7 @@ enum class SweepTakes
 struct Axis
 {
     const char* flag = nullptr; //!< CLI/sweep flag; nullptr = key only
-    const char* key = nullptr;  //!< request key; nullptr = flag only
+    const char* key = nullptr;  //!< request key (every row has one)
     /** Usage metavar; nullptr = a bare flag, which parses "true". */
     const char* arg = nullptr;
     std::string usage{}; //!< help text (wrapped when printed)
@@ -101,7 +101,7 @@ struct ScenarioCheck
  * The cross-axis rules every front end applies once all axes are
  * set: torus-ruche gets ruche factor 2 when unset and other
  * topologies get none; the ruche factor must fit the grid width;
- * every keyed axis must render to text its row accepts (the range
+ * every axis must render to text its row accepts (the range
  * check for options built in code); a dataset scale applies only to
  * named stand-ins; engine threads clamp to the tile count, with a
  * note.

@@ -81,6 +81,13 @@ worklistAdd(std::vector<std::uint64_t>& mask, std::size_t i)
     mask[i >> 6] |= std::uint64_t(1) << (i & 63);
 }
 
+/** Whether index `i` is queued on the worklist. */
+inline bool
+worklistHas(const std::vector<std::uint64_t>& mask, std::size_t i)
+{
+    return (mask[i >> 6] >> (i & 63)) & 1;
+}
+
 /**
  * Visit every queued index in ascending order; `visit(i)` returns
  * whether the index stays queued (deferred removal). Words ahead of

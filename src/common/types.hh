@@ -41,26 +41,6 @@ using ChannelId = std::uint8_t;
 constexpr unsigned wordBytes = sizeof(Word);
 
 /**
- * Cycle-stepping scan mode of the engine — a pure simulator execution
- * knob (never changes results). `full` walks every tile and router
- * each cycle (the reference oracle); `active` iterates only the
- * per-shard active worklists, maintained event-driven at the points
- * where activity is created. Stats and energy are byte-identical for
- * both modes; only the simulator's own wall work differs.
- */
-enum class EngineScan : std::uint8_t
-{
-    full,
-    active,
-};
-
-constexpr const char*
-toString(EngineScan scan)
-{
-    return scan == EngineScan::full ? "full" : "active";
-}
-
-/**
  * Why a Machine::run ended. Anything but `completed` means the run
  * unwound early through the cooperative RunControl path — the crew
  * exits at a cycle boundary with partial (but internally consistent)

@@ -330,18 +330,10 @@ Network::stepCompute(unsigned shard_index, Cycle now)
     DLX_OWN_SCOPE(ownershipDomain(), "noc-compute", shard.beginRouter,
                   shard.endRouter);
 
-    if (config_.scanMode == EngineScan::full) {
-        // Reference oracle: visit every router, every cycle.
-        shard.routerScans += shard.endRouter - shard.beginRouter;
-        for (TileId r = shard.beginRouter; r < shard.endRouter; ++r)
-            computeRouter(r, now, shard);
-        return;
-    }
-
-    // Active-set scan. Occupancy only clears in the serial commit
-    // (pops are staged), so check-then-compute is exact: a router
-    // that drained last commit is swept here, and one that refills
-    // during the next commit is re-queued by the push's
+    // Visit only the listed routers. Occupancy only clears in the
+    // serial commit (pops are staged), so check-then-compute is
+    // exact: a router that drained last commit is swept here, and one
+    // that refills during the next commit is re-queued by the push's
     // activateRouter before the sweep could go stale. Compute never
     // activates other routers of this shard mid-sweep (pushes are
     // staged), satisfying the sweep's precondition.
@@ -435,7 +427,27 @@ Network::step(Cycle now)
         stepCompute(s, now);
     for (unsigned s = 0; s < shards_.size(); ++s)
         commitShard(s, now);
+#if DALOREX_OWNERSHIP_CHECKS
+    checkWorklists();
+#endif
 }
+
+#if DALOREX_OWNERSHIP_CHECKS
+void
+Network::checkWorklists() const
+{
+    for (const Shard& shard : shards_) {
+        for (TileId r = shard.beginRouter; r < shard.endRouter; ++r) {
+            panic_if(routers_[r].occupancy != 0 &&
+                         !worklistHas(shard.activeMask,
+                                      r - shard.beginRouter),
+                     "worklist invariant: router ", r,
+                     " holds a message but is not on its shard's "
+                     "active list");
+        }
+    }
+}
+#endif
 
 std::uint64_t
 Network::routerScans() const

@@ -45,13 +45,12 @@
  * shard count. step() runs both phases for every shard on the
  * calling thread, for stand-alone users.
  *
- * The compute phase is event-driven (NocConfig::scanMode): each shard
- * keeps an active-router worklist holding exactly the routers with a
- * buffered message, maintained where messages appear (injections
- * during the tile phase, staged pushes and wakes during the serial
- * commit) and swept lazily when a router drains. Quiet regions of
- * the grid therefore cost nothing per cycle; `full` mode keeps the
- * exhaustive range scan as a byte-identical reference oracle.
+ * The compute phase is event-driven: each shard keeps an active-router
+ * worklist holding exactly the routers with a buffered message,
+ * maintained where messages appear (injections during the tile phase,
+ * staged pushes and wakes during the serial commit) and swept lazily
+ * when a router drains. Quiet regions of the grid therefore cost
+ * nothing per cycle.
  *
  * State layout: routers are the scan's working set, so each Router
  * keeps only what the scan reads every visit — the occupancy, blocked
@@ -102,13 +101,6 @@ struct NocConfig
     /** Capacity of each (input port, channel) buffer, in messages:
      *  at least 2 (bubble rule), at most 65535 (16-bit counters). */
     std::uint32_t bufferSlots = 4;
-    /**
-     * Compute-phase scan mode (simulator only; never changes timing
-     * or stats): `active` walks per-shard active-router worklists —
-     * a router is on one iff any of its buffers holds a message —
-     * `full` keeps the exhaustive range scan as a reference oracle.
-     */
-    EngineScan scanMode = EngineScan::active;
 };
 
 /** Aggregate NoC activity counters (feed the energy model). */
@@ -175,7 +167,7 @@ class Network
     void step(Cycle now);
 
     /**
-     * Compute phase for shard `shard`: scan its router range, apply
+     * Compute phase for shard `shard`: scan its active routers, apply
      * intra-router effects, stage cross-router pushes/pops/wakes.
      * Distinct shards may run concurrently; commitShard for every
      * shard must follow before the next cycle (or any
@@ -281,6 +273,12 @@ class Network
     {
         return routers_[router].injectFreeAt;
     }
+
+#if DALOREX_OWNERSHIP_CHECKS
+    /** Panic unless every router holding a message is on its shard's
+     *  active list. Valid between cycles. */
+    void checkWorklists() const;
+#endif
 
   private:
     /**
@@ -416,8 +414,8 @@ class Network
         std::vector<std::vector<StagedWake>> wakesTo;
         NocStats stats;
         /**
-         * Active-router worklist (EngineScan::active), an intrusive
-         * bitmap over the shard's router range (bit r - beginRouter).
+         * Active-router worklist, an intrusive bitmap over the
+         * shard's router range (bit r - beginRouter).
          * Invariant between cycles: every router with occupancy != 0
          * has its bit set. Bits are set where buffered messages
          * appear — successful injections (owning shard's worker) and
@@ -426,7 +424,8 @@ class Network
          * router, which is safe under the two-phase commit because
          * pops (the only way occupancy clears) apply serially
          * between compute phases. Bitmap order keeps the scan in
-         * ascending router order, matching the full scan's walk.
+         * ascending router order. Builds with the ownership checker
+         * assert the invariant every cycle (checkWorklists).
          */
         std::vector<std::uint64_t> activeMask;
         /** Router visits performed (whole-run accumulator). */

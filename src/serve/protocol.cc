@@ -191,8 +191,7 @@ parseRequestLine(const std::string& line)
     // Table order, first occurrence of a key: the same fields in the
     // same order whatever the request's member order.
     for (const cli::Axis& axis : cli::scenarioAxes()) {
-        const JsonValue* field =
-            axis.key != nullptr ? object.find(axis.key) : nullptr;
+        const JsonValue* field = object.find(axis.key);
         if (field == nullptr)
             continue;
         std::string text;
@@ -218,8 +217,6 @@ renderRunRequest(const cli::Options& options, const std::string& id,
                       ",\"client\":" + jsonQuote(client) +
                       ",\"priority\":" + std::to_string(priority);
     for (const cli::Axis& axis : cli::scenarioAxes()) {
-        if (axis.key == nullptr)
-            continue;
         const std::optional<std::string> text = axis.render(options);
         if (!text)
             continue;

@@ -27,10 +27,9 @@
  * flags too: a field parses, range-checks and renders exactly as its
  * flag does, and cli::finishScenario() applies the same cross-axis
  * rules. Where a front end differs (a key with no flag, such as
- * dataset_scale; a flag with no key, such as --pagerank-iters; the
- * "" and 0 spellings that leave a field unset), the table row says
- * so. Unknown fields are an error: a typoed knob must fail the
- * request, not silently run a default scenario.
+ * dataset_scale; the "" and 0 spellings that leave a field unset),
+ * the table row says so. Unknown fields are an error: a typoed knob
+ * must fail the request, not silently run a default scenario.
  */
 
 #ifndef DALOREX_SERVE_PROTOCOL_HH

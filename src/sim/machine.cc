@@ -527,9 +527,9 @@ Machine::stepTile(Tile& tile, Cycle now, ShardCtx& shard)
     }
     // Idle/fast-forward aggregates, maintained here so the serial
     // part of the loop is O(shards), not O(tiles). Quiet tiles
-    // contribute nothing (busyUntil <= now, no pending CQ), which is
-    // what makes the active-set scan aggregate-equivalent to the
-    // full one.
+    // contribute nothing (busyUntil <= now, no pending CQ), so
+    // visiting only the active ones gives the aggregates a visit to
+    // every tile would.
     const Cycle busy = tile.pu.busyUntil;
     if (busy > shard.maxBusyUntil)
         shard.maxBusyUntil = busy;
@@ -550,20 +550,11 @@ Machine::tilePhase(unsigned shard_index, Cycle now)
     shard.maxBusyUntil = 0;
     shard.nextEvent = neverCycle;
 
-    if (config_.engineScan == EngineScan::full) {
-        // Reference oracle: visit every tile, every cycle.
-        shard.tileScans += shard.endTile - shard.beginTile;
-        for (TileId t = shard.beginTile; t < shard.endTile; ++t)
-            stepTile(tiles_[t], now, shard);
-        return;
-    }
-
-    // Active-set scan: visit only the queued tiles, dropping every
-    // tile that is quiet after its step (activity created later
-    // re-queues it through activateTile). The no-mid-sweep-growth
-    // precondition holds because a tile's step never activates
-    // *other* tiles — all task effects are tile-local and
-    // deliveries happen in the NoC phase.
+    // Visit only the queued tiles, dropping every tile that is quiet
+    // after its step (activity created later re-queues it through
+    // activateTile). The no-mid-sweep-growth precondition holds
+    // because a tile's step never activates *other* tiles — all task
+    // effects are tile-local and deliveries happen in the NoC phase.
     worklistSweep(shard.activeMask, [&](std::size_t off) {
         ++shard.tileScans;
         Tile& tile =
@@ -572,6 +563,25 @@ Machine::tilePhase(unsigned shard_index, Cycle now)
         return !tile.quiet(now);
     });
 }
+
+#if DALOREX_OWNERSHIP_CHECKS
+void
+Machine::checkWorklists() const
+{
+    for (const ShardCtx& shard : shards_) {
+        for (TileId t = shard.beginTile; t < shard.endTile; ++t) {
+            panic_if(!tiles_[t].quiet(now_) &&
+                         !worklistHas(shard.activeMask,
+                                      t - shard.beginTile),
+                     "worklist invariant: tile ", t,
+                     " is not quiet at cycle ", now_,
+                     " but is not on shard ", shard.index,
+                     "'s active list");
+        }
+    }
+    network_->checkWorklists();
+}
+#endif
 
 RunStats
 Machine::run(App& app, const RunControl* control)
@@ -591,7 +601,6 @@ Machine::run(App& app, const RunControl* control)
     noc_config.height = config_.height;
     noc_config.rucheFactor = config_.rucheFactor;
     noc_config.bufferSlots = config_.nocBufferSlots;
-    noc_config.scanMode = config_.engineScan;
     noc_config.numChannels =
         std::max<std::uint32_t>(1,
                                 static_cast<std::uint32_t>(
@@ -673,6 +682,9 @@ Machine::run(App& app, const RunControl* control)
         }
         if (progressed)
             lastProgress_ = now_;
+#if DALOREX_OWNERSHIP_CHECKS
+        checkWorklists();
+#endif
 
         if (allIdle()) {
             // Drain the tail: the last tasks' busy time still counts.
@@ -808,8 +820,8 @@ Machine::run(App& app, const RunControl* control)
         stats_.edgesProcessed += shard.edgesProcessed;
         stats_.tileScans += shard.tileScans;
     }
-    // Scan-occupancy: the visits a full scan would have performed
-    // minus the visits actually performed (exactly 0 in full mode).
+    // Scan-occupancy: the visits a scan of every tile and router
+    // would have performed minus the visits actually performed.
     stats_.routerScans = network_->routerScans();
     stats_.activeTileCyclesSaved =
         stats_.engineSteppedCycles * tiles_.size() - stats_.tileScans;

@@ -21,17 +21,17 @@
  * RunStats are byte-identical for every engineThreads value — the
  * serial engine is simply the one-shard case.
  *
- * Stepping is event-driven (EngineScan::active): each shard keeps an
- * intrusive active-tile worklist — a tile is on it iff its PU is
- * busy, it has pending IQ entries or pending CQ entries — maintained
- * incrementally at the exact points activity is created (deliveries,
- * seeds, host epoch charges; a stepped tile's own pushes keep it
- * non-quiet). The tile phase iterates only the worklist, dropping
- * tiles that went quiet (deferred removal keeps membership O(1)), so
- * barrier windows, convergence tails and sparse frontiers cost
- * O(active) per cycle instead of O(tiles). EngineScan::full keeps
- * the exhaustive scan as a reference oracle; both modes produce
- * byte-identical RunStats.
+ * Stepping is event-driven, as the paper's tiles are: a task runs
+ * only where its queue has work. Each shard keeps an intrusive
+ * active-tile worklist — a tile is on it iff its PU is busy, it has
+ * pending IQ entries or pending CQ entries — maintained incrementally
+ * at the exact points activity is created (deliveries, seeds, host
+ * epoch charges; a stepped tile's own pushes keep it non-quiet). The
+ * tile phase iterates only the worklist, dropping tiles that went
+ * quiet (deferred removal keeps membership O(1)), so barrier windows,
+ * convergence tails and sparse frontiers cost O(active) per cycle
+ * instead of O(tiles). Builds with the ownership checker assert the
+ * worklist invariant of both layers in every serial tail.
  *
  * The ablation ladder of Fig. 5 maps onto MachineConfig knobs:
  * distribution (Uniform-Distr), policy (Traffic-Aware), topology
@@ -87,16 +87,6 @@ struct MachineConfig
      * tile count; 0 behaves like 1.
      */
     unsigned engineThreads = 1;
-    /**
-     * Cycle-stepping scan mode (simulator only; never changes
-     * results). `active` (default) iterates per-shard active-tile and
-     * active-router worklists maintained event-driven — O(active) per
-     * cycle; `full` keeps the exhaustive per-cycle scan as a
-     * reference oracle. RunStats and energy are byte-identical for
-     * both (asserted by determinism_test); only the scan-occupancy
-     * counters and the simulator's wall clock differ.
-     */
-    EngineScan engineScan = EngineScan::active;
     /** End the run with RunStatus::deadlock if this many cycles pass
      *  without progress (a kernel bug; used to panic the process). */
     Cycle watchdogCycles = 1'000'000;
@@ -170,19 +160,19 @@ struct RunStats
      * These measure the engine's own work — cycle-loop iterations
      * actually stepped (fast-forward skips the rest), tile/router
      * visits performed, and the visits the active-set scan avoided
-     * relative to a full scan. They are *not* architectural: they
-     * differ between EngineScan modes by design and are normalized
-     * out of the determinism contract (see determinism_test), like
-     * engineThreads.
+     * relative to visiting every tile and router each stepped cycle.
+     * They are *not* architectural: the report renders them in its
+     * execution object, beside engineThreads.
      */
     Cycle engineSteppedCycles = 0;   //!< cycle-loop iterations run
     Cycle nocSteppedCycles = 0;      //!< iterations with NoC traffic
     std::uint64_t tileScans = 0;     //!< tile visits, all tile phases
     std::uint64_t routerScans = 0;   //!< router visits, all NoC phases
     /** Tile visits a full scan would have done but the active-set
-     *  scan skipped (0 under EngineScan::full). */
+     *  scan skipped: engineSteppedCycles x tiles - tileScans. */
     std::uint64_t activeTileCyclesSaved = 0;
-    /** Same for router visits in the NoC compute phases. */
+    /** Same for router visits in the NoC compute phases, against
+     *  nocSteppedCycles x tiles. */
     std::uint64_t activeRouterCyclesSaved = 0;
     /** Fraction of the full tile scan actually performed in [0, 1]. */
     double tileScanOccupancy() const;
@@ -237,16 +227,18 @@ struct alignas(64) ShardCtx
     Cycle nextEvent = ~Cycle(0);
 
     /**
-     * Active-tile worklist (EngineScan::active), kept as an intrusive
-     * bitmap over the shard's tile range (bit t - beginTile).
+     * Active-tile worklist, kept as an intrusive bitmap over the
+     * shard's tile range (bit t - beginTile).
      * Invariant between phases: every non-quiet tile of the shard —
      * busy PU, pending IQ entries or pending CQ entries — has its
      * bit set. Bits are set at the points where activity is created
      * (deliveries, seeds, host charges; O(1), idempotent) and
      * cleared by the removal sweep inside the tile phase once a tile
      * is quiet. A bitmap instead of an index list keeps the
-     * iteration in ascending tile order — the same prefetch-friendly
-     * memory walk as the full scan, minus the quiet tiles.
+     * iteration in ascending tile order — the prefetch-friendly
+     * memory walk of a full scan, minus the quiet tiles. Builds with
+     * the ownership checker assert the invariant in every serial
+     * tail (checkWorklists).
      */
     std::vector<std::uint64_t> activeMask;
     /** Tile visits this shard performed (whole-run accumulator). */
@@ -472,10 +464,18 @@ class Machine
     /** Step one tile (inject + PU) and fold its idle/fast-forward
      *  contribution into the shard aggregates. */
     void stepTile(Tile& tile, Cycle now, ShardCtx& shard);
-    /** Advance one shard's tiles one cycle (inject + PU step) and
-     *  refresh its idle/fast-forward aggregates. Walks the full tile
-     *  range or the active worklist per MachineConfig::engineScan. */
+    /** Advance one shard's active tiles one cycle (inject + PU step)
+     *  and refresh its idle/fast-forward aggregates. */
     void tilePhase(unsigned shard_index, Cycle now);
+#if DALOREX_OWNERSHIP_CHECKS
+    /**
+     * Panic unless the worklist invariants hold: every non-quiet tile
+     * and every router holding a message is on its shard's worklist.
+     * A tile or router missing from one would never be stepped again.
+     * Run in the serial tail of every cycle.
+     */
+    void checkWorklists() const;
+#endif
     /** Global idle check (exact outstanding-work counters). */
     bool
     allIdle() const

@@ -114,8 +114,10 @@ TEST(CliParse, RucheFactorDefaultsAndClears)
 
 TEST(CliParse, RejectsUnknownFlag)
 {
+    // Removed flags are unknown, not silently accepted.
     for (const char* flag :
-         {"--frobnicate", "--engine-barrier", "--engine-rebalance"}) {
+         {"--frobnicate", "--engine-barrier", "--engine-rebalance",
+          "--engine-scan", "--pagerank-iters"}) {
         const ParseResult r = parse({flag});
         EXPECT_FALSE(r.ok) << flag;
         EXPECT_NE(r.error.find("unknown option: " + std::string(flag)),
@@ -166,21 +168,6 @@ TEST(CliParse, EngineThreadsFlag)
     EXPECT_FALSE(parse({"--engine-threads", "many"}).ok);
 }
 
-TEST(CliParse, EngineScanFlag)
-{
-    EXPECT_EQ(parse({}).options.machine.engineScan,
-              EngineScan::active); // event-driven is the default
-    const ParseResult full = parse({"--engine-scan", "full"});
-    ASSERT_TRUE(full.ok) << full.error;
-    EXPECT_EQ(full.options.machine.engineScan, EngineScan::full);
-    const ParseResult active = parse({"--engine-scan", "ACTIVE"});
-    ASSERT_TRUE(active.ok) << active.error;
-    EXPECT_EQ(active.options.machine.engineScan, EngineScan::active);
-
-    EXPECT_FALSE(parse({"--engine-scan"}).ok);
-    EXPECT_FALSE(parse({"--engine-scan", "lazy"}).ok);
-}
-
 TEST(CliParse, EngineThreadsClampToTilesWithNote)
 {
     // 2x2 grid = 4 shards max; 16 workers would idle 12 of them.
@@ -198,7 +185,7 @@ TEST(CliParse, EngineThreadsClampToTilesWithNote)
     EXPECT_TRUE(fit.note.empty());
 }
 
-TEST(CliParse, ParamOverridesAndDeprecatedAlias)
+TEST(CliParse, ParamOverrides)
 {
     const ParseResult r =
         parse({"--param", "damping=0.9,iterations=20"});
@@ -208,13 +195,6 @@ TEST(CliParse, ParamOverridesAndDeprecatedAlias)
     EXPECT_DOUBLE_EQ(r.options.params[0].value, 0.9);
     EXPECT_EQ(r.options.params[1].name, "iterations");
     EXPECT_DOUBLE_EQ(r.options.params[1].value, 20.0);
-
-    // The deprecated spelling folds into the same override list.
-    const ParseResult alias = parse({"--pagerank-iters", "7"});
-    ASSERT_TRUE(alias.ok) << alias.error;
-    ASSERT_EQ(alias.options.params.size(), 1u);
-    EXPECT_EQ(alias.options.params[0].name, "iterations");
-    EXPECT_DOUBLE_EQ(alias.options.params[0].value, 7.0);
 
     const ParseResult eps = parse({"--param", "epsilon=1e-5"});
     ASSERT_TRUE(eps.ok) << eps.error;
@@ -228,7 +208,6 @@ TEST(CliParse, ParamOverridesAndDeprecatedAlias)
     EXPECT_FALSE(parse({"--param", "iterations=0"}).ok);
     EXPECT_FALSE(parse({"--param", "iterations=1.5"}).ok);
     EXPECT_FALSE(parse({"--param", "epsilon=1"}).ok);
-    EXPECT_FALSE(parse({"--pagerank-iters", "0"}).ok);
 }
 
 TEST(CliParse, HelpFlag)

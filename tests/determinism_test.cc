@@ -125,13 +125,12 @@ namespace
 {
 
 /**
- * Scenario JSON at `engine_threads` x `scan` minus its `execution`
- * object (cli::withoutExecution): how the simulator ran is cut off,
+ * Scenario JSON at `engine_threads` minus its `execution` object
+ * (cli::withoutExecution): how the simulator ran is cut off,
  * everything architectural stays in the comparison.
  */
 std::string
 scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
-             EngineScan scan = EngineScan::active,
              RunStats* stats_out = nullptr)
 {
     cli::Options options;
@@ -141,7 +140,6 @@ scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
     options.machine.width = 4;
     options.machine.height = 4;
     options.machine.engineThreads = engine_threads;
-    options.machine.engineScan = scan;
     const cli::RunOutcome outcome = cli::runScenario(options);
     EXPECT_TRUE(outcome.ok) << outcome.error;
     if (stats_out != nullptr)
@@ -154,12 +152,10 @@ scenarioJson(const KernelInfo* kernel, unsigned engine_threads,
 TEST_P(EngineThreadsDeterminism, StatsAndEnergyJsonByteIdentical)
 {
     RunStats serial_stats;
-    const std::string serial =
-        scenarioJson(GetParam(), 1, EngineScan::active, &serial_stats);
+    const std::string serial = scenarioJson(GetParam(), 1, &serial_stats);
     ASSERT_GT(serial_stats.cycles, 0u);
     RunStats two_stats;
-    const std::string two =
-        scenarioJson(GetParam(), 2, EngineScan::active, &two_stats);
+    const std::string two = scenarioJson(GetParam(), 2, &two_stats);
     const std::string eight = scenarioJson(GetParam(), 8);
     EXPECT_EQ(serial, two);
     EXPECT_EQ(serial, eight);
@@ -168,54 +164,6 @@ TEST_P(EngineThreadsDeterminism, StatsAndEnergyJsonByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, EngineThreadsDeterminism,
-    ::testing::ValuesIn(allKernels()),
-    [](const ::testing::TestParamInfo<const KernelInfo*>& info) {
-        return info.param->display;
-    });
-
-/**
- * The active-set scan's core contract: the event-driven engine and
- * the full-scan reference oracle produce byte-identical stats and
- * energy JSON, at every engine-threads value, for every registered
- * kernel. The only fields allowed to differ — the scan-occupancy
- * counters, which *measure* the difference — are normalized out
- * above; everything the energy model and figure tables read is
- * compared.
- */
-class EngineScanDeterminism
-    : public ::testing::TestWithParam<const KernelInfo*>
-{
-};
-
-TEST_P(EngineScanDeterminism, FullAndActiveScanByteIdentical)
-{
-    RunStats active_stats;
-    const std::string active = scenarioJson(
-        GetParam(), 1, EngineScan::active, &active_stats);
-    ASSERT_GT(active_stats.cycles, 0u);
-    RunStats full_stats;
-    const std::string full =
-        scenarioJson(GetParam(), 1, EngineScan::full, &full_stats);
-    EXPECT_EQ(full, active);
-    expectIdentical(full_stats, active_stats);
-    // The full scan visits everything; the active scan must not
-    // visit more, and the oracle must report zero savings.
-    EXPECT_EQ(full_stats.activeTileCyclesSaved, 0u);
-    EXPECT_EQ(full_stats.activeRouterCyclesSaved, 0u);
-    EXPECT_LE(active_stats.tileScans, full_stats.tileScans);
-    EXPECT_LE(active_stats.routerScans, full_stats.routerScans);
-    // Sharding and scanning are orthogonal: the oracle agrees at
-    // every thread count.
-    EXPECT_EQ(scenarioJson(GetParam(), 2, EngineScan::full), active);
-    EXPECT_EQ(scenarioJson(GetParam(), 8, EngineScan::full), active);
-    EXPECT_EQ(scenarioJson(GetParam(), 2, EngineScan::active),
-              active);
-    EXPECT_EQ(scenarioJson(GetParam(), 8, EngineScan::active),
-              active);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllKernels, EngineScanDeterminism,
     ::testing::ValuesIn(allKernels()),
     [](const ::testing::TestParamInfo<const KernelInfo*>& info) {
         return info.param->display;

@@ -178,10 +178,6 @@ TEST(Golden, EveryScenarioMatchesTheCorpus)
             ADD_FAILURE() << name << " differs from the corpus "
                           << "(expected -> got):\n"
                           << fieldDiff(it->second, got);
-        cli::Options full = o;
-        full.machine.engineScan = EngineScan::full;
-        EXPECT_EQ(runLine(full), got)
-            << name << ": the full scan disagrees with the active scan";
     }
 }
 

@@ -5,16 +5,20 @@
  * Three properties, matching the checker's contract:
  *
  *  1. Clean engine runs: every registered kernel, at engine-threads
- *     1/2/8 and under both scan modes, completes with the checker
- *     armed and still matches the sequential reference. In builds
- *     where the checker is compiled out this degenerates to a plain
- *     correctness matrix (still worth running); the checked variant
- *     is exercised by the Debug/sanitizer CI configurations.
+ *     1/2/8, completes with the checker armed and still matches the
+ *     sequential reference. The armed engine also asserts its
+ *     worklist invariants in every serial tail: every non-quiet tile
+ *     and every router holding a message is on its shard's active
+ *     list. In builds where the checker is compiled out this
+ *     degenerates to a plain correctness matrix (still worth
+ *     running); the checked variant is exercised by the
+ *     Debug/sanitizer CI configurations.
  *
  *  2. The checker actually fires: a deliberate cross-shard write via
  *     Machine::debugInjectOwnershipViolation() panics (death test),
- *     as does an out-of-range checkWrite under a live claim and an
- *     unclaimed write while a foreign thread holds a claim.
+ *     as does an out-of-range checkWrite under a live claim, an
+ *     unclaimed write while a foreign thread holds a claim, and a
+ *     tile made busy behind its worklist's back.
  *
  *  3. Zero overhead when disabled: the hook macros expand to
  *     noexcept constant no-op expressions, checked at compile time,
@@ -65,24 +69,23 @@ smallGraph()
     return graph;
 }
 
-// ---- 1. clean runs across the kernel x threads x scan matrix ----
+// ---- 1. clean runs across the kernel x threads matrix ----------
 
 class OwnershipMatrix
     : public ::testing::TestWithParam<
-          std::tuple<const KernelInfo*, unsigned, EngineScan>>
+          std::tuple<const KernelInfo*, unsigned>>
 {
 };
 
 TEST_P(OwnershipMatrix, KernelPassesChecker)
 {
-    const auto [kernel, threads, scan] = GetParam();
+    const auto [kernel, threads] = GetParam();
     KernelSetup setup = makeKernelSetup(*kernel, smallGraph());
     setup.iterations = 3;
     MachineConfig config;
     config.width = 4;
     config.height = 4;
     config.engineThreads = threads;
-    config.engineScan = scan;
     auto app = setup.makeApp();
     Machine machine(config, setup.graph.numVertices,
                     setup.graph.numEdges);
@@ -104,13 +107,10 @@ TEST_P(OwnershipMatrix, KernelPassesChecker)
 INSTANTIATE_TEST_SUITE_P(
     Kernels, OwnershipMatrix,
     ::testing::Combine(::testing::ValuesIn(allKernels()),
-                       ::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(EngineScan::active,
-                                         EngineScan::full)),
+                       ::testing::Values(1u, 2u, 8u)),
     [](const auto& info) {
         return std::get<0>(info.param)->display + "_t" +
-               std::to_string(std::get<1>(info.param)) + "_" +
-               toString(std::get<2>(info.param));
+               std::to_string(std::get<1>(info.param));
     });
 
 // ---- 2. the checker fires on violations -------------------------
@@ -140,6 +140,46 @@ TEST(OwnershipDeathTest, InjectedEngineViolationPanics)
     Machine machine(config, 64, 256);
     EXPECT_DEATH(machine.debugInjectOwnershipViolation(),
                  "ownership");
+}
+
+/**
+ * A kernel that breaks the worklist contract: its one task makes the
+ * next tile busy by writing that tile's PU directly, instead of
+ * through a delivery, seed or host charge that would queue the tile.
+ * The busy tile would never be stepped.
+ */
+class WorklistBypassApp : public App
+{
+  public:
+    const char* name() const override { return "worklist-bypass"; }
+
+    void
+    configure(Machine& machine) override
+    {
+        TaskDef poke;
+        poke.name = "poke";
+        poke.fn = [](Machine& m, Tile& tile, TaskCtx&) {
+            m.tile(tile.id + 1).pu.busyUntil = 1000;
+        };
+        machine.addTask(poke);
+    }
+
+    void start(Machine& machine) override { machine.seed(0, 0, {0}); }
+};
+
+TEST(OwnershipDeathTest, TileBusyOffItsWorklistPanics)
+{
+    useThreadsafeDeathTests();
+    MachineConfig config;
+    config.width = 4;
+    config.height = 1;
+    EXPECT_DEATH(
+        {
+            WorklistBypassApp app;
+            Machine machine(config, 64, 256);
+            machine.run(app);
+        },
+        "worklist invariant: tile 1");
 }
 
 TEST(OwnershipDeathTest, OutOfRangeWriteUnderClaimPanics)

@@ -93,8 +93,7 @@ TEST(Protocol, ParsesFullRunRequest)
         R"("height":4,"topology":"mesh","policy":"round-robin",)"
         R"("distribution":"high-order","barrier":true,)"
         R"("invoke_overhead":50,"engine_threads":2,)"
-        R"("engine_scan":"full","params":"damping=0.9",)"
-        R"("seed":7,"validate":true})");
+        R"("params":"damping=0.9","seed":7,"validate":true})");
     ASSERT_TRUE(p.ok) << p.error;
     const Request& r = p.request;
     EXPECT_EQ(r.id, "r1");
@@ -112,13 +111,28 @@ TEST(Protocol, ParsesFullRunRequest)
     EXPECT_TRUE(r.options.machine.barrier);
     EXPECT_EQ(r.options.machine.invokeOverhead, 50u);
     EXPECT_EQ(r.options.machine.engineThreads, 2u);
-    EXPECT_EQ(r.options.machine.engineScan, EngineScan::full);
     ASSERT_EQ(r.options.params.size(), 1u);
     EXPECT_EQ(r.options.params[0].name, "damping");
     EXPECT_EQ(r.options.seed, 7u);
     EXPECT_TRUE(r.options.validate);
     // Mesh never has a ruche factor (mirrors cli::parseArgs).
     EXPECT_EQ(r.options.machine.rucheFactor, 0u);
+}
+
+TEST(Protocol, ScanModeFieldIsUnknown)
+{
+    // A scan mode is not a scenario key: a request naming one fails
+    // instead of running a scenario it did not describe.
+    for (const char* mode : {"full", "active"}) {
+        const ParsedRequest p = parseRequestLine(
+            std::string(R"({"type":"run","id":"e1","engine_scan":")") +
+            mode + "\"}");
+        EXPECT_FALSE(p.ok) << mode;
+        EXPECT_EQ(p.request.id, "e1");
+        EXPECT_NE(p.error.find("unknown request field: engine_scan"),
+                  std::string::npos)
+            << p.error;
+    }
 }
 
 TEST(Protocol, RejectsBadRequestsWithRecoveredId)
@@ -211,7 +225,7 @@ TEST(Protocol, EmptyAndZeroSpellingsLeaveAxesUnset)
     const ParsedRequest p = parseRequestLine(
         R"({"type":"run","id":"u1","kernel":"","dataset":"",)"
         R"("topology":"","policy":"","distribution":"",)"
-        R"("engine_scan":"","params":"","ruche_factor":0,)"
+        R"("params":"","ruche_factor":0,)"
         R"("dataset_scale":0,"max_cycles":0,"deadline_ms":0})");
     ASSERT_TRUE(p.ok) << p.error;
     EXPECT_EQ(renderRunRequest(p.request.options, "u1", "anon"),
@@ -272,8 +286,8 @@ TEST(Protocol, RenderRunRequestBytesArePinnedForDefaults)
         R"("width":16,"height":16,"topology":"torus","ruche_factor":0,)"
         R"("policy":"traffic-aware","distribution":"low-order",)"
         R"("barrier":false,"invoke_overhead":0,"max_cycles":0,)"
-        R"("engine_threads":1,"engine_scan":"active",)"
-        R"("scratchpad_bytes":0,"seed":1,"validate":false})");
+        R"("engine_threads":1,"scratchpad_bytes":0,"seed":1,)"
+        R"("validate":false})");
 }
 
 TEST(Protocol, RenderRunRequestBytesArePinnedForEveryField)
@@ -293,7 +307,6 @@ TEST(Protocol, RenderRunRequestBytesArePinnedForEveryField)
     o.machine.invokeOverhead = 50;
     o.machine.maxCycles = 123456;
     o.machine.engineThreads = 4;
-    o.machine.engineScan = EngineScan::full;
     o.machine.scratchpadProvisionBytes = 4096;
     o.params = {{"damping", 0.9}, {"iterations", 12.0},
                 {"epsilon", 1e-5}};
@@ -308,8 +321,7 @@ TEST(Protocol, RenderRunRequestBytesArePinnedForEveryField)
         R"("topology":"torus-ruche","ruche_factor":3,)"
         R"("policy":"round-robin","distribution":"high-order",)"
         R"("barrier":true,"invoke_overhead":50,"max_cycles":123456,)"
-        R"("engine_threads":4,"engine_scan":"full",)"
-        R"("scratchpad_bytes":4096,)"
+        R"("engine_threads":4,"scratchpad_bytes":4096,)"
         R"("params":"damping=0.9,iterations=12,epsilon=1e-05",)"
         R"("seed":42,"validate":true,"deadline_ms":750})");
 }
@@ -357,10 +369,8 @@ axisSamples()
         {"--invoke-overhead", "50", {}, ""},
         {"--max-cycles", "123456", {}, ""},
         {"--engine-threads", "4", {}, ""},
-        {"--engine-scan", "full", {}, ""},
         {"scratchpad_bytes", "4096", {}, ""},
         {"--param", "damping=0.9,iterations=12", {}, ""},
-        {"--pagerank-iters", "7", {}, ""},
         {"--seed", "42", {}, ""},
         {"--validate", "true", {}, ""},
         {"--deadline-ms", "750", {}, ""},
@@ -375,7 +385,7 @@ scenarioBytes(const cli::Options& options)
     return renderRunRequest(options, "", "");
 }
 
-/** The request for `sample`, or "" when the row has no key. */
+/** The request that sets the row of `sample`. */
 std::string
 sampleRequest(const cli::Axis& axis, const AxisSample& sample)
 {
@@ -441,12 +451,10 @@ TEST(ScenarioAxes, EveryFrontEndParsesEveryAxisAlike)
         }
         EXPECT_NE(expected, context) << "the sample is a default";
 
-        if (axis.key != nullptr) {
-            const ParsedRequest request =
-                parseRequestLine(sampleRequest(axis, *sample));
-            ASSERT_TRUE(request.ok) << request.error;
-            EXPECT_EQ(scenarioBytes(request.request.options), expected);
-        }
+        const ParsedRequest request =
+            parseRequestLine(sampleRequest(axis, *sample));
+        ASSERT_TRUE(request.ok) << request.error;
+        EXPECT_EQ(scenarioBytes(request.request.options), expected);
 
         if (axis.sweep != cli::SweepTakes::none) {
             // Pin the axes whose sweep defaults differ from the CLI's,

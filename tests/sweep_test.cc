@@ -487,24 +487,18 @@ TEST(RunAggregate, EngineThreadsAxisChangesNothingButTheColumn)
 TEST(SweepParse, EngineThreadsAndParamFlags)
 {
     const std::vector<const char*> args = {
-        "sweep",         "--engine-threads", "1,4",
-        "--engine-scan", "full",
-        "--param",       "damping=0.9,iterations=20",
-        "--pagerank-iters", "7"};
+        "sweep", "--engine-threads", "1,4",
+        "--param", "damping=0.9,iterations=20"};
     const SweepParseResult parsed =
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const Plan& plan = parsed.options.plan;
     EXPECT_EQ(plan.engineThreads, (std::vector<unsigned>{1, 4}));
-    EXPECT_EQ(plan.base.machine.engineScan, EngineScan::full);
-    ASSERT_EQ(plan.base.params.size(), 3u);
+    ASSERT_EQ(plan.base.params.size(), 2u);
     EXPECT_EQ(plan.base.params[0].name, "damping");
     EXPECT_DOUBLE_EQ(plan.base.params[0].value, 0.9);
     EXPECT_EQ(plan.base.params[1].name, "iterations");
     EXPECT_DOUBLE_EQ(plan.base.params[1].value, 20.0);
-    // --pagerank-iters survives as a deprecated --param alias.
-    EXPECT_EQ(plan.base.params[2].name, "iterations");
-    EXPECT_DOUBLE_EQ(plan.base.params[2].value, 7.0);
 
     std::string out;
     std::string err;
@@ -519,13 +513,14 @@ TEST(SweepParse, EngineThreadsAndParamFlags)
                        out, err),
               2);
     EXPECT_NE(err.find("below the largest"), std::string::npos);
-    EXPECT_EQ(runSweep({"--engine-scan", "lazy"}, out, err), 2);
 }
 
 TEST(SweepParse, RejectsUnknownOptions)
 {
+    // Removed flags are unknown, not silently accepted.
     for (const char* flag :
-         {"--frobnicate", "--engine-barrier", "--engine-rebalance"}) {
+         {"--frobnicate", "--engine-barrier", "--engine-rebalance",
+          "--engine-scan", "--pagerank-iters"}) {
         std::string out;
         std::string err;
         EXPECT_EQ(runSweep({flag}, out, err), 2) << flag;
