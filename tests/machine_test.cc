@@ -347,6 +347,18 @@ TEST(Machine, EngineThreadsPreserveResultsAndStats)
     EXPECT_EQ(serial.invocations, sharded.invocations);
     EXPECT_EQ(serial.puBusyPerTile, sharded.puBusyPerTile);
     EXPECT_EQ(serial.noc.deliveryStalls, sharded.noc.deliveryStalls);
+
+    // On ragged shards too, the active scan visits strictly fewer
+    // tiles and routers than a scan of every one each stepped cycle,
+    // and its savings account for the difference exactly.
+    const std::uint64_t all_tiles = sharded.engineSteppedCycles * 16;
+    const std::uint64_t all_routers = sharded.nocSteppedCycles * 16;
+    EXPECT_LT(sharded.tileScans, all_tiles);
+    EXPECT_EQ(sharded.tileScans + sharded.activeTileCyclesSaved,
+              all_tiles);
+    EXPECT_LT(sharded.routerScans, all_routers);
+    EXPECT_EQ(sharded.routerScans + sharded.activeRouterCyclesSaved,
+              all_routers);
 }
 
 TEST(Machine, EngineThreadsClampToTileCount)
@@ -362,31 +374,6 @@ TEST(Machine, EngineThreadsClampToTileCount)
     Machine machine(config, graph.numVertices, graph.numEdges);
     machine.run(*app);
     EXPECT_EQ(app->gatherValues(machine), setup.referenceWords());
-}
-
-TEST(Machine, ActiveScanOnUnevenShardsVisitsLessThanFullScan)
-{
-    const Csr graph = testGraph();
-    const KernelSetup setup = makeKernelSetup("sssp", graph);
-    auto app = setup.makeApp();
-    MachineConfig config = config4x4();
-    // 5 does not divide 16 tiles: shards are uneven, so active
-    // worklist maintenance crosses ragged shard borders.
-    config.engineThreads = 5;
-    Machine machine(config, graph.numVertices, graph.numEdges);
-    const RunStats stats = machine.run(*app);
-    EXPECT_EQ(app->gatherValues(machine), setup.referenceWords());
-
-    // A full scan visits every tile each stepped cycle and every
-    // router each NoC-stepped cycle; the active scan does strictly
-    // less, and its savings account for the difference exactly.
-    const std::uint64_t full_tiles = stats.engineSteppedCycles * 16;
-    const std::uint64_t full_routers = stats.nocSteppedCycles * 16;
-    EXPECT_LT(stats.tileScans, full_tiles);
-    EXPECT_EQ(stats.tileScans + stats.activeTileCyclesSaved, full_tiles);
-    EXPECT_LT(stats.routerScans, full_routers);
-    EXPECT_EQ(stats.routerScans + stats.activeRouterCyclesSaved,
-              full_routers);
 }
 
 TEST(Machine, ActiveScanFastForwardsIdleWindows)
@@ -417,7 +404,6 @@ TEST(Machine, ActiveScanFastForwardsIdleWindows)
               stats.engineSteppedCycles * 16);
     EXPECT_EQ(stats.routerScans + stats.activeRouterCyclesSaved,
               stats.nocSteppedCycles * 16);
-    EXPECT_LT(stats.tileScans, stats.engineSteppedCycles * 16 / 2);
     EXPECT_GT(stats.activeRouterCyclesSaved, 0u);
     EXPECT_LT(stats.tileScanOccupancy(), 0.5);
 }
