@@ -242,8 +242,7 @@ failRun(RunOutcome outcome, const std::string& message)
 } // namespace
 
 RunOutcome
-runScenario(const Options& options, EngineArenas* pool,
-            RunControl control)
+runScenario(const Options& options, RunControl control)
 {
     RunOutcome outcome;
     Report& report = outcome.report;
@@ -285,7 +284,7 @@ runScenario(const Options& options, EngineArenas* pool,
 
     auto app = setup.makeApp();
     Machine machine(options.machine, setup.graph.numVertices,
-                    setup.graph.numEdges, pool);
+                    setup.graph.numEdges);
 
     const auto engine_start = std::chrono::steady_clock::now();
     if (options.deadlineMs > 0)

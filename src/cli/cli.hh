@@ -171,11 +171,6 @@ struct RunOutcome
  * one-line diagnostic instead of killing the process, so one bad
  * point fails its own sweep row, not the whole grid.
  *
- * `pool` (may be nullptr) recycles the engine's queue arenas (see
- * EngineArenas): long-lived callers — `dalorex serve`, sweep workers —
- * pass one pool per worker so back-to-back runs reuse the grown
- * allocations; results are byte-identical either way.
- *
  * `control` is read by the engine's serial tail: a set cancel flag
  * unwinds the run as cancelled, a passed deadline as a timeout — both
  * at a cycle boundary, with the partial report filled. A nonzero
@@ -185,7 +180,6 @@ struct RunOutcome
  * budget too large for the clock means no deadline.
  */
 RunOutcome runScenario(const Options& options,
-                       EngineArenas* pool = nullptr,
                        RunControl control = {});
 
 /**

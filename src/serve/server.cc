@@ -39,8 +39,7 @@ sanitizeClientName(const std::string& client)
 
 Server::Server(unsigned workers)
     : workers_(workers == 0 ? 1 : workers),
-      start_(std::chrono::steady_clock::now()),
-      arenas_(workers_)
+      start_(std::chrono::steady_clock::now())
 {
 }
 
@@ -234,7 +233,7 @@ Server::recordInJournal(const std::string& client,
 }
 
 void
-Server::workerLoop(unsigned member)
+Server::workerLoop()
 {
     Job job;
     while (scheduler_.pop(job)) {
@@ -254,8 +253,7 @@ Server::workerLoop(unsigned member)
 
         cli::RunOutcome outcome;
         for (unsigned attempt = 0;; ++attempt) {
-            outcome =
-                cli::runScenario(options, &arenas_[member], control);
+            outcome = cli::runScenario(options, control);
             // Retry only still-retriable transients (dataset I/O). A
             // timed-out run is transient to *callers*, but its budget
             // is spent here — answer it now.
@@ -336,7 +334,7 @@ Server::rejectOversized(std::uint64_t connection,
 void
 Server::serve()
 {
-    runSpmd(workers_, [this](unsigned member) { workerLoop(member); });
+    runSpmd(workers_, [this](unsigned) { workerLoop(); });
 }
 
 void

@@ -13,10 +13,10 @@
  *
  * serve() runs the crew as one runSpmd session, blocking until
  * shutdown is requested (a `shutdown` request, transport EOF, or a
- * signal) and every already-accepted job has drained. Hot state stays
- * resident across requests: datasets live in the process-wide cache,
- * and each crew member keeps an EngineArenas pool so back-to-back runs
- * reuse engine allocations.
+ * signal) and every already-accepted job has drained. Datasets stay
+ * resident across requests in the process-wide cache; each run builds
+ * its own machine, whose tile queues allocate host storage only as
+ * they fill.
  *
  * Keeping the core free of fds/sockets is what makes the protocol
  * robustness tests cheap: serve_test drives handleLine() directly and
@@ -130,7 +130,7 @@ class Server
     void respond(std::uint64_t connection, const std::string& line);
 
     /** Crew-member body: pop + execute until closed and drained. */
-    void workerLoop(unsigned member);
+    void workerLoop();
 
     /** One client's durable results (journalMutex_ held). */
     struct ClientJournal
@@ -162,9 +162,6 @@ class Server
     mutable std::mutex connMutex_;
     std::map<std::uint64_t, std::shared_ptr<Connection>> connections_;
     std::uint64_t nextConnection_ = 1;
-
-    /** Per-crew-member engine allocation pools (index = member). */
-    std::vector<EngineArenas> arenas_;
 
     /** Serve-side retry policy (set before serve() starts). */
     unsigned retries_ = 0;

@@ -156,11 +156,10 @@ TaskCtx::countEdges(std::uint64_t n)
 // ---------------------------------------------------------------- Machine
 
 Machine::Machine(const MachineConfig& config, VertexId num_vertices,
-                 EdgeId num_edges, EngineArenas* recycle)
+                 EdgeId num_edges)
     : config_(config),
       partition_(num_vertices, num_edges, config.numTiles(),
-                 config.distribution),
-      recycle_(recycle)
+                 config.distribution)
 {
     fatal_if(config_.numTiles() == 0, "machine needs at least one tile");
     if (config_.topology == NocTopology::torusRuche)
@@ -169,22 +168,6 @@ Machine::Machine(const MachineConfig& config, VertexId num_vertices,
     tiles_.resize(config_.numTiles());
     for (TileId t = 0; t < tiles_.size(); ++t)
         tiles_[t].id = t;
-    if (recycle_ != nullptr) {
-        // Adopt the pool's capacity; finalizeQueues() assign()s every
-        // element it uses, so stale contents cannot leak into a run.
-        iqArena_ = std::move(recycle_->iq);
-        cqArena_ = std::move(recycle_->cq);
-    }
-}
-
-Machine::~Machine()
-{
-    if (recycle_ != nullptr) {
-        // The tiles' queue views die with us; hand the raw capacity
-        // back to the pool for the next Machine.
-        recycle_->iq = std::move(iqArena_);
-        recycle_->cq = std::move(cqArena_);
-    }
 }
 
 TaskId
@@ -246,29 +229,11 @@ Machine::finalizeQueues()
         }
     }
 
-    // Pool the backing storage of every tile queue into two arenas —
-    // one allocation each for all IQ words and all CQ messages in the
-    // machine instead of tiles x queues small heap blocks.
-    std::size_t iq_words_per_tile = 0;
-    for (const TaskDef& def : taskDefs_)
-        iq_words_per_tile +=
-            WordQueue::storageWords(def.paramWords, def.iqCapacity);
-    std::size_t cq_msgs_per_tile = 0;
-    for (const ChannelDef& ch : channelDefs_)
-        cq_msgs_per_tile += ch.cqCapacity;
-    iqArena_.assign(iq_words_per_tile * tiles_.size(), 0);
-    cqArena_.assign(cq_msgs_per_tile * tiles_.size(), Message{});
-    std::size_t iq_next = 0;
-    std::size_t cq_next = 0;
-
     for (Tile& tile : tiles_) {
         tile.iqs.resize(taskDefs_.size());
         for (std::size_t t = 0; t < taskDefs_.size(); ++t) {
             WordQueue& iq = tile.iqs[t];
-            iq.init(taskDefs_[t].paramWords, taskDefs_[t].iqCapacity,
-                    &iqArena_[iq_next]);
-            iq_next += WordQueue::storageWords(
-                taskDefs_[t].paramWords, taskDefs_[t].iqCapacity);
+            iq.init(taskDefs_[t].paramWords, taskDefs_[t].iqCapacity);
             // Bake the traffic-aware occupancy thresholds into
             // integer watermarks (scheduling hot path).
             iq.setHighMark(static_cast<std::uint32_t>(std::ceil(
@@ -277,9 +242,7 @@ Machine::finalizeQueues()
         tile.cqs.resize(channelDefs_.size());
         for (std::size_t c = 0; c < channelDefs_.size(); ++c) {
             MsgQueue& cq = tile.cqs[c];
-            cq.init(channelDefs_[c].numWords,
-                    channelDefs_[c].cqCapacity, &cqArena_[cq_next]);
-            cq_next += channelDefs_[c].cqCapacity;
+            cq.init(channelDefs_[c].numWords, channelDefs_[c].cqCapacity);
             cq.setLowMark(static_cast<std::uint32_t>(std::floor(
                 config_.thresholds.oqLow * cq.capacity())));
         }
@@ -581,6 +544,40 @@ Machine::checkWorklists() const
     }
     network_->checkWorklists();
 }
+
+void
+Machine::checkConservation() const
+{
+    std::uint64_t iq_total = 0;
+    std::uint64_t cq_total = 0;
+    for (const Tile& tile : tiles_) {
+        std::uint64_t iq = 0;
+        for (const WordQueue& q : tile.iqs)
+            iq += q.count();
+        std::uint64_t cq = 0;
+        for (const MsgQueue& q : tile.cqs)
+            cq += q.count();
+        panic_if(iq != tile.pendingIqEntries ||
+                     cq != tile.pendingCqEntries,
+                 "conservation: tile ", tile.id, " holds ", iq,
+                 " IQ and ", cq, " CQ entries but counts ",
+                 tile.pendingIqEntries, " and ", tile.pendingCqEntries,
+                 " at cycle ", now_);
+        iq_total += tile.pendingIqEntries;
+        cq_total += tile.pendingCqEntries;
+    }
+    panic_if(iq_total != pendingIq_ || cq_total != pendingCq_,
+             "conservation: tiles count ", iq_total, " IQ and ",
+             cq_total, " CQ entries but the engine counts ", pendingIq_,
+             " and ", pendingCq_, " at cycle ", now_);
+    const NocStats noc = network_->stats();
+    panic_if(noc.messagesInjected - noc.messagesDelivered !=
+                 network_->inFlight(),
+             "conservation: ", noc.messagesInjected,
+             " messages injected and ", noc.messagesDelivered,
+             " delivered but ", network_->inFlight(),
+             " in flight at cycle ", now_);
+}
 #endif
 
 RunStats
@@ -684,6 +681,7 @@ Machine::run(App& app, const RunControl* control)
             lastProgress_ = now_;
 #if DALOREX_OWNERSHIP_CHECKS
         checkWorklists();
+        checkConservation();
 #endif
 
         if (allIdle()) {

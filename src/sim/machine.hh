@@ -31,7 +31,8 @@
  * quiet (deferred removal keeps membership O(1)), so barrier windows,
  * convergence tails and sparse frontiers cost O(active) per cycle
  * instead of O(tiles). Builds with the ownership checker assert the
- * worklist invariant of both layers in every serial tail.
+ * worklist invariant of both layers and the conservation of queued
+ * and in-flight work in every serial tail.
  *
  * The ablation ladder of Fig. 5 maps onto MachineConfig knobs:
  * distribution (Uniform-Distr), policy (Traffic-Aware), topology
@@ -340,21 +341,6 @@ class TaskCtx
     std::uint32_t mutations_ = 0;
 };
 
-/**
- * Recyclable engine allocations, for callers that run many machines
- * back to back (the sweep library, `dalorex serve`). A Machine built
- * with one adopts the vectors as its queue arenas and returns them on
- * destruction, so successive runs reuse the grown capacity instead of
- * re-faulting fresh pages. Purely an allocation-reuse contract:
- * finalizeQueues() value-(re)initializes every element it uses, so
- * results are byte-identical with or without recycling.
- */
-struct EngineArenas
-{
-    std::vector<Word> iq;
-    std::vector<Message> cq;
-};
-
 /** The simulated Dalorex chip. */
 class Machine
 {
@@ -363,12 +349,9 @@ class Machine
      * @param config       Machine shape and policy knobs.
      * @param num_vertices Dataset vertex count (partitioning).
      * @param num_edges    Dataset edge count (partitioning).
-     * @param recycle      Optional arena pool to adopt and, on
-     *                     destruction, return (see EngineArenas).
      */
     Machine(const MachineConfig& config, VertexId num_vertices,
-            EdgeId num_edges, EngineArenas* recycle = nullptr);
-    ~Machine();
+            EdgeId num_edges);
 
     Machine(const Machine&) = delete;
     Machine& operator=(const Machine&) = delete;
@@ -450,7 +433,8 @@ class Machine
     void injectFromCqs(Tile& tile, Cycle now, ShardCtx& shard);
     /** Let the TSU invoke one task if the PU is idle. */
     void stepPu(Tile& tile, Cycle now, ShardCtx& shard);
-    /** Size all queues after registration (arena-pooled storage). */
+    /** Size all queues after registration. Each queue allocates its
+     *  host storage on first use and grows it with its occupancy. */
     void finalizeQueues();
     /** Partition tiles into `shards` contiguous ranges. */
     void buildShards(unsigned shards);
@@ -475,6 +459,15 @@ class Machine
      * Run in the serial tail of every cycle.
      */
     void checkWorklists() const;
+    /**
+     * Panic unless work is conserved: each tile's pending IQ and CQ
+     * entries equal its queues' summed counts, pendingIq_ and
+     * pendingCq_ equal the sums over tiles, and every message
+     * injected and not yet delivered is in flight. A queue changed
+     * behind the counters' back would end a run with work left or
+     * never let it end. Run in the serial tail of every cycle.
+     */
+    void checkConservation() const;
 #endif
     /** Global idle check (exact outstanding-work counters). */
     bool
@@ -490,11 +483,6 @@ class Machine
     std::vector<ChannelDef> channelDefs_;
     std::vector<Tile> tiles_;
     std::unique_ptr<Network> network_;
-
-    // Pooled backing storage of every tile queue (finalizeQueues).
-    std::vector<Word> iqArena_;
-    std::vector<Message> cqArena_;
-    EngineArenas* recycle_ = nullptr; //!< arena pool to return to
 
     // Execution shards: contiguous tile ranges plus per-shard
     // accumulators; tileShard_ maps tile -> owning shard.

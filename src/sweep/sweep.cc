@@ -65,7 +65,7 @@ run(const ExpandResult& expanded, unsigned threads,
                 control.deadline =
                     deadlineAfter(std::chrono::steady_clock::now(),
                                   policy.rowDeadlineMs);
-            outcome = cli::runScenario(options, nullptr, control);
+            outcome = cli::runScenario(options, control);
             const bool cancelled =
                 outcome.status == RunStatus::cancelled ||
                 (cancel != nullptr && cancel->load());

@@ -6,11 +6,19 @@
  * Queue sizes are configured at runtime based on the number of entries
  * specified next to the task declaration" (Sec. III-E). An entry is one
  * task invocation: `entryWords` machine words.
+ *
+ * capacity(), full(), the watermarks and storageBytes() model that
+ * scratchpad queue. The host only stores what the queue holds: its
+ * ring starts empty, is allocated on the first push and doubles
+ * whenever a push finds every slot taken, so a queue that never holds
+ * more than a few entries costs a few entries of host memory.
  */
 
 #ifndef DALOREX_TILE_QUEUE_HH
 #define DALOREX_TILE_QUEUE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -22,45 +30,19 @@
 namespace dalorex
 {
 
-/** A FIFO of fixed-width word entries (task input queues). */
-class WordQueue
+/**
+ * The FIFO both queue kinds share: up to `capacity` entries of
+ * `stride` elements of T, on a host ring of a power-of-two slot count
+ * (indexed with a mask). The ring grows from minSlots by doubling and
+ * so never exceeds the power of two at or above the capacity.
+ */
+template <typename T>
+class RingFifo
 {
   public:
-    WordQueue() = default;
+    /** Slots of the first ring (fewer when the capacity is smaller). */
+    static constexpr std::uint32_t minSlots = 4;
 
-    /** Words of backing storage an (entry_words, capacity) queue
-     *  needs — for arena sizing before bind-style init. */
-    static std::size_t
-    storageWords(std::uint32_t entry_words, std::uint32_t capacity)
-    {
-        return std::size_t(entry_words) * capacity;
-    }
-
-    /**
-     * Size the queue: `capacity` entries of `entry_words` words.
-     * With `storage` the queue is a view into a caller-owned arena of
-     * storageWords() zeroed words (the engine pools every queue of a
-     * Machine into one allocation); without, it owns its storage.
-     */
-    void
-    init(std::uint32_t entry_words, std::uint32_t capacity,
-         Word* storage = nullptr)
-    {
-        panic_if(entry_words == 0 || entry_words > maxMsgWords,
-                 "queue entry width out of range: ", entry_words);
-        panic_if(capacity == 0, "queue capacity must be positive");
-        entryWords_ = entry_words;
-        capacity_ = capacity;
-        if (storage != nullptr) {
-            data_ = storage;
-        } else {
-            owned_.assign(storageWords(entry_words, capacity), 0);
-            data_ = owned_.data();
-        }
-        head_ = count_ = 0;
-    }
-
-    std::uint32_t entryWords() const { return entryWords_; }
     std::uint32_t capacity() const { return capacity_; }
     std::uint32_t count() const { return count_; }
     std::uint32_t freeEntries() const { return capacity_ - count_; }
@@ -74,6 +56,89 @@ class WordQueue
         return static_cast<double>(count_) / capacity_;
     }
 
+    /** Host ring slots allocated so far: 0 before the first push. */
+    std::uint32_t hostSlots() const { return slots_; }
+
+  protected:
+    /** Empty the queue, drop its ring and set its shape. */
+    void
+    reset(std::uint32_t stride, std::uint32_t capacity)
+    {
+        panic_if(capacity == 0, "queue capacity must be positive");
+        stride_ = stride;
+        capacity_ = capacity;
+        data_ = {};
+        slots_ = head_ = count_ = 0;
+    }
+
+    /** Claim the tail slot for one new entry; the caller fills it. */
+    T*
+    pushSlot()
+    {
+        if (count_ == slots_)
+            grow();
+        T* slot =
+            &data_[std::size_t((head_ + count_) & (slots_ - 1)) * stride_];
+        ++count_;
+        return slot;
+    }
+
+    const T*
+    headSlot() const
+    {
+        return &data_[std::size_t(head_) * stride_];
+    }
+
+    void
+    popSlot()
+    {
+        head_ = (head_ + 1) & (slots_ - 1);
+        --count_;
+    }
+
+  private:
+    /** Allocate the first ring or double a full one, unrolled so the
+     *  oldest entry lands in slot 0. Callers never grow a full queue,
+     *  so slots_ < capacity_ here. */
+    void
+    grow()
+    {
+        const std::uint32_t slots =
+            slots_ == 0 ? std::min(minSlots, std::bit_ceil(capacity_))
+                        : 2 * slots_;
+        std::vector<T> data(std::size_t(slots) * stride_);
+        std::rotate_copy(data_.begin(),
+                         data_.begin() + std::size_t(head_) * stride_,
+                         data_.end(), data.begin());
+        data_.swap(data);
+        slots_ = slots;
+        head_ = 0;
+    }
+
+    std::vector<T> data_;
+    std::uint32_t stride_ = 0;
+    std::uint32_t capacity_ = 0;
+    std::uint32_t slots_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t count_ = 0;
+};
+
+/** A FIFO of fixed-width word entries (task input queues). */
+class WordQueue : public RingFifo<Word>
+{
+  public:
+    /** Size the queue: `capacity` entries of `entry_words` words. */
+    void
+    init(std::uint32_t entry_words, std::uint32_t capacity)
+    {
+        panic_if(entry_words == 0 || entry_words > maxMsgWords,
+                 "queue entry width out of range: ", entry_words);
+        reset(entry_words, capacity);
+        entryWords_ = entry_words;
+    }
+
+    std::uint32_t entryWords() const { return entryWords_; }
+
     /**
      * Set the "nearly full" watermark in entries. The TSU compares
      * integer counts in its scheduling hot path instead of occupancy
@@ -82,13 +147,13 @@ class WordQueue
     void setHighMark(std::uint32_t mark) { highMark_ = mark; }
 
     /** True when occupancy has reached the high watermark. */
-    bool nearlyFull() const { return count_ >= highMark_; }
+    bool nearlyFull() const { return count() >= highMark_; }
 
     /** Scratchpad bytes this queue occupies. */
     std::uint32_t
     storageBytes() const
     {
-        return entryWords_ * capacity_ * wordBytes;
+        return entryWords_ * capacity() * wordBytes;
     }
 
     /** Append one entry of entryWords() words. panic() when full. */
@@ -96,11 +161,7 @@ class WordQueue
     push(const Word* words)
     {
         panic_if(full(), "push to full queue");
-        const std::size_t base =
-            std::size_t((head_ + count_) % capacity_) * entryWords_;
-        for (std::uint32_t w = 0; w < entryWords_; ++w)
-            data_[base + w] = words[w];
-        ++count_;
+        std::copy_n(words, entryWords_, pushSlot());
     }
 
     /** Pointer to the oldest entry (Listing 1's peek). */
@@ -108,7 +169,7 @@ class WordQueue
     front() const
     {
         panic_if(empty(), "front of empty queue");
-        return &data_[std::size_t(head_) * entryWords_];
+        return headSlot();
     }
 
     /** Drop the oldest entry (Listing 1's pop). */
@@ -116,101 +177,61 @@ class WordQueue
     pop()
     {
         panic_if(empty(), "pop of empty queue");
-        head_ = (head_ + 1) % capacity_;
-        --count_;
+        popSlot();
     }
 
   private:
-    std::vector<Word> owned_;
-    Word* data_ = nullptr;
     std::uint32_t entryWords_ = 0;
-    std::uint32_t capacity_ = 0;
-    std::uint32_t head_ = 0;
-    std::uint32_t count_ = 0;
     std::uint32_t highMark_ = ~std::uint32_t(0);
 };
 
 /** A FIFO of encoded outbound messages (channel queues). */
-class MsgQueue
+class MsgQueue : public RingFifo<Message>
 {
   public:
-    MsgQueue() = default;
-
-    /**
-     * Size the queue to `capacity` messages. With `storage` the queue
-     * is a view into a caller-owned arena of `capacity`
-     * default-initialized messages; without, it owns its storage.
-     */
+    /** Size the queue to `capacity` messages of `entry_words` words. */
     void
-    init(std::uint32_t entry_words, std::uint32_t capacity,
-         Message* storage = nullptr)
+    init(std::uint32_t entry_words, std::uint32_t capacity)
     {
-        panic_if(capacity == 0, "queue capacity must be positive");
+        reset(1, capacity);
         entryWords_ = entry_words;
-        capacity_ = capacity;
-        if (storage != nullptr) {
-            data_ = storage;
-        } else {
-            owned_.assign(capacity, Message{});
-            data_ = owned_.data();
-        }
-        head_ = count_ = 0;
-    }
-
-    std::uint32_t capacity() const { return capacity_; }
-    std::uint32_t count() const { return count_; }
-    std::uint32_t freeEntries() const { return capacity_ - count_; }
-    bool empty() const { return count_ == 0; }
-    bool full() const { return count_ == capacity_; }
-
-    double
-    occupancy() const
-    {
-        return static_cast<double>(count_) / capacity_;
     }
 
     /** Set the "nearly empty" watermark in entries. */
     void setLowMark(std::uint32_t mark) { lowMark_ = mark; }
 
     /** True when occupancy is at or below the low watermark. */
-    bool nearlyEmpty() const { return count_ <= lowMark_; }
+    bool nearlyEmpty() const { return count() <= lowMark_; }
 
     std::uint32_t
     storageBytes() const
     {
-        return entryWords_ * capacity_ * wordBytes;
+        return entryWords_ * capacity() * wordBytes;
     }
 
     void
     push(const Message& msg)
     {
         panic_if(full(), "push to full channel queue");
-        data_[(head_ + count_) % capacity_] = msg;
-        ++count_;
+        *pushSlot() = msg;
     }
 
     const Message&
     front() const
     {
         panic_if(empty(), "front of empty channel queue");
-        return data_[head_];
+        return *headSlot();
     }
 
     void
     pop()
     {
         panic_if(empty(), "pop of empty channel queue");
-        head_ = (head_ + 1) % capacity_;
-        --count_;
+        popSlot();
     }
 
   private:
-    std::vector<Message> owned_;
-    Message* data_ = nullptr;
     std::uint32_t entryWords_ = 0;
-    std::uint32_t capacity_ = 0;
-    std::uint32_t head_ = 0;
-    std::uint32_t count_ = 0;
     std::uint32_t lowMark_ = 0;
 };
 

@@ -7,9 +7,11 @@
  *  1. Clean engine runs: every registered kernel, at engine-threads
  *     1/2/8, completes with the checker armed and still matches the
  *     sequential reference. The armed engine also asserts its
- *     worklist invariants in every serial tail: every non-quiet tile
+ *     worklist invariants in every serial tail — every non-quiet tile
  *     and every router holding a message is on its shard's active
- *     list. In builds where the checker is compiled out this
+ *     list — and work conservation: the pending-entry counters match
+ *     the queues, and injected messages are delivered or in flight.
+ *     In builds where the checker is compiled out this
  *     degenerates to a plain correctness matrix (still worth
  *     running); the checked variant is exercised by the
  *     Debug/sanitizer CI configurations.
@@ -17,8 +19,9 @@
  *  2. The checker actually fires: a deliberate cross-shard write via
  *     Machine::debugInjectOwnershipViolation() panics (death test),
  *     as does an out-of-range checkWrite under a live claim, an
- *     unclaimed write while a foreign thread holds a claim, and a
- *     tile made busy behind its worklist's back.
+ *     unclaimed write while a foreign thread holds a claim, a tile
+ *     made busy behind its worklist's back, and an IQ entry pushed
+ *     behind its tile's counters.
  *
  *  3. Zero overhead when disabled: the hook macros expand to
  *     noexcept constant no-op expressions, checked at compile time,
@@ -180,6 +183,47 @@ TEST(OwnershipDeathTest, TileBusyOffItsWorklistPanics)
             machine.run(app);
         },
         "worklist invariant: tile 1");
+}
+
+/**
+ * A kernel that breaks work conservation: its one task pushes into
+ * its own tile's IQ directly instead of through TaskCtx, so the queue
+ * holds an entry no pending counter knows of. Unchecked, the run
+ * would end with that entry never executed.
+ */
+class QueueBypassApp : public App
+{
+  public:
+    const char* name() const override { return "queue-bypass"; }
+
+    void
+    configure(Machine& machine) override
+    {
+        TaskDef stash;
+        stash.name = "stash";
+        stash.fn = [](Machine&, Tile& tile, TaskCtx&) {
+            const Word word = 0;
+            tile.iqs[0].push(&word);
+        };
+        machine.addTask(stash);
+    }
+
+    void start(Machine& machine) override { machine.seed(0, 0, {0}); }
+};
+
+TEST(OwnershipDeathTest, QueuePushBehindItsCountersPanics)
+{
+    useThreadsafeDeathTests();
+    MachineConfig config;
+    config.width = 4;
+    config.height = 1;
+    EXPECT_DEATH(
+        {
+            QueueBypassApp app;
+            Machine machine(config, 64, 256);
+            machine.run(app);
+        },
+        "conservation: tile 0 holds 1 IQ");
 }
 
 TEST(OwnershipDeathTest, OutOfRangeWriteUnderClaimPanics)

@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the tile substrate: circular queues (wrap-around,
- * watermarks, storage accounting) and the TSU's runnable rules and
- * arbitration policies.
+ * Tests for the tile substrate: circular queues (wrap-around, growth
+ * of the host ring, watermarks, storage accounting) and the TSU's
+ * runnable rules and arbitration policies.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
 
 #include "tile/queue.hh"
 #include "tile/task.hh"
@@ -36,15 +39,64 @@ TEST(WordQueue, PushPopFifo)
 
 TEST(WordQueue, WrapsAround)
 {
-    WordQueue q;
-    q.init(1, 3);
-    for (Word round = 0; round < 10; ++round) {
-        const Word v = round;
-        q.push(&v);
-        EXPECT_EQ(q.front()[0], round);
-        q.pop();
+    // Each input pushes and pops `offset` entries, which moves the
+    // head off slot 0 of the first ring, then fills the queue to
+    // capacity twice with a full drain between: the ring grows while
+    // wrapped, capacity 5 with 3-word entries is full at 5 entries on
+    // 8 slots, and capacity 100 keeps FIFO order across 5 doublings.
+    struct Input
+    {
+        std::uint32_t words;
+        std::uint32_t capacity;
+        std::uint32_t offset;
+    };
+    for (const Input& in : {Input{1, 3, 0}, Input{1, 3, 2},
+                            Input{3, 5, 3}, Input{2, 100, 1}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << in.words << " words x " << in.capacity
+                     << ", offset " << in.offset);
+        WordQueue q;
+        q.init(in.words, in.capacity);
+        Word pushed = 0;
+        Word popped = 0;
+        const auto push = [&] {
+            Word entry[maxMsgWords];
+            for (std::uint32_t w = 0; w < in.words; ++w)
+                entry[w] = pushed * 8 + w;
+            q.push(entry);
+            ++pushed;
+        };
+        const auto pop = [&] {
+            for (std::uint32_t w = 0; w < in.words; ++w)
+                EXPECT_EQ(q.front()[w], popped * 8 + w);
+            q.pop();
+            ++popped;
+        };
+
+        EXPECT_EQ(q.hostSlots(), 0u); // allocated on the first push
+        for (std::uint32_t i = 0; i < in.offset; ++i) {
+            push();
+            pop();
+        }
+        EXPECT_EQ(q.hostSlots(),
+                  in.offset == 0 ? 0u
+                                 : std::min(WordQueue::minSlots,
+                                            std::bit_ceil(in.capacity)));
+        for (int fill = 0; fill < 2; ++fill) {
+            while (!q.full())
+                push();
+            EXPECT_EQ(q.count(), in.capacity);
+            EXPECT_EQ(q.hostSlots(), std::bit_ceil(in.capacity));
+            while (!q.empty())
+                pop();
+        }
+        for (int round = 0; round < 10; ++round) {
+            push();
+            pop();
+        }
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(popped, pushed);
     }
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(WordQueue, FullAndFreeEntries)
@@ -91,22 +143,59 @@ TEST(WordQueue, HighWatermark)
 
 TEST(MsgQueue, FifoAndWatermark)
 {
-    MsgQueue q;
-    q.init(2, 4);
-    q.setLowMark(1);
-    EXPECT_TRUE(q.nearlyEmpty());
-    Message m;
-    m.dest = 3;
-    m.channel = 1;
-    m.numWords = 2;
-    q.push(m);
-    EXPECT_TRUE(q.nearlyEmpty()); // count 1 <= mark 1
-    q.push(m);
-    EXPECT_FALSE(q.nearlyEmpty());
-    EXPECT_EQ(q.front().dest, 3u);
-    q.pop();
-    q.pop();
-    EXPECT_TRUE(q.empty());
+    // The inputs of WordQueue.WrapsAround, on whole messages.
+    struct Input
+    {
+        std::uint32_t words;
+        std::uint32_t capacity;
+        std::uint32_t offset;
+    };
+    for (const Input& in :
+         {Input{2, 4, 0}, Input{3, 5, 3}, Input{2, 100, 1}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << in.words << " words x " << in.capacity
+                     << ", offset " << in.offset);
+        MsgQueue q;
+        q.init(in.words, in.capacity);
+        q.setLowMark(1);
+        EXPECT_TRUE(q.nearlyEmpty());
+        EXPECT_EQ(q.storageBytes(), in.words * in.capacity * 4u);
+        std::uint32_t pushed = 0;
+        std::uint32_t popped = 0;
+        const auto push = [&] {
+            Message m;
+            m.dest = pushed;
+            m.channel = 1;
+            m.numWords = static_cast<std::uint8_t>(in.words);
+            m.words[0] = pushed * 7;
+            q.push(m);
+            ++pushed;
+        };
+        const auto pop = [&] {
+            EXPECT_EQ(q.front().dest, popped);
+            EXPECT_EQ(q.front().words[0], popped * 7);
+            q.pop();
+            ++popped;
+        };
+
+        for (std::uint32_t i = 0; i < in.offset; ++i) {
+            push();
+            pop();
+        }
+        for (int fill = 0; fill < 2; ++fill) {
+            push();
+            EXPECT_TRUE(q.nearlyEmpty()); // count 1 <= mark 1
+            push();
+            EXPECT_FALSE(q.nearlyEmpty());
+            while (!q.full())
+                push();
+            EXPECT_EQ(q.count(), in.capacity);
+            EXPECT_EQ(q.hostSlots(), std::bit_ceil(in.capacity));
+            while (!q.empty())
+                pop();
+        }
+        EXPECT_EQ(popped, pushed);
+    }
 }
 
 // ------------------------------------------------------------- TSU
