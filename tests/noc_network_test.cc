@@ -336,20 +336,24 @@ struct Fnv
 };
 
 /**
- * Seeded random traffic on both channels against tiles whose input
- * queues hold two messages and drain at random, so heads block on the
- * bubble rule, on full downstream buffers and on refused deliveries.
- * Returns the FNV-1a of every injection outcome, every delivery
- * (cycle, dest, channel, payload words), the final NocStats and the
- * per-router active cycles.
+ * Seeded random traffic on every one of `channels` channels against
+ * tiles whose input queues hold two messages and drain at random, so
+ * heads block on the bubble rule, on full downstream buffers and on
+ * refused deliveries. Returns the FNV-1a of every injection outcome,
+ * every delivery (cycle, dest, channel, payload words), the final
+ * NocStats and the per-router active cycles.
  */
 std::uint64_t
 goldenTraffic(const Shape& shape, std::uint32_t buffer_slots,
-              unsigned shards)
+              unsigned shards, unsigned channels)
 {
     const TileId tiles = shape.width * shape.height;
     NocConfig config = gridConfig(shape);
     config.bufferSlots = buffer_slots;
+    config.numChannels = channels;
+    // Channels 0 and 1 keep gridConfig's lengths, so two-channel
+    // traffic is unchanged by the extra entries.
+    config.msgWords = {3, 2, 4, 1};
     Fnv fnv;
     Cycle now = 0;
     std::vector<unsigned> queued(tiles, 0);
@@ -379,7 +383,8 @@ goldenTraffic(const Shape& shape, std::uint32_t buffer_slots,
             }
             if (injected == total || rng.below(2) == 0)
                 continue;
-            const auto channel = static_cast<ChannelId>(rng.below(2));
+            const auto channel =
+                static_cast<ChannelId>(rng.below(channels));
             Message msg;
             msg.dest = static_cast<TileId>(rng.below(tiles));
             msg.channel = channel;
@@ -410,12 +415,17 @@ struct GoldenCase
     Shape shape;
     std::uint32_t bufferSlots;
     std::uint64_t hash; //!< goldenTraffic() at every shard count
+    /** Channels in use; each count is its own round-robin rotation
+     *  of numPorts x channels positions. */
+    unsigned channels = 2;
 };
 
 void
 PrintTo(const GoldenCase& golden, std::ostream* os)
 {
     *os << golden.shape.name << "_slots" << golden.bufferSlots;
+    if (golden.channels != 2)
+        *os << "_channels" << golden.channels;
 }
 
 /**
@@ -431,7 +441,8 @@ TEST_P(NocGolden, TrafficHashIsPinned)
 {
     const GoldenCase& golden = GetParam();
     for (const unsigned shards : {1u, 3u}) {
-        EXPECT_EQ(goldenTraffic(golden.shape, golden.bufferSlots, shards),
+        EXPECT_EQ(goldenTraffic(golden.shape, golden.bufferSlots, shards,
+                                golden.channels),
                   golden.hash)
             << "at " << shards << " shards";
     }
@@ -448,7 +459,13 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{rucheColumn, 2, 0xf62c9e7153b567c2ull},
                       GoldenCase{rucheColumn, 4, 0xcfe839dd5a4aa1f5ull},
                       GoldenCase{rucheRows, 2, 0xc17c7cd391db4f7bull},
-                      GoldenCase{rucheRows, 4, 0x61fa3b6ad7dd8b4full}),
+                      GoldenCase{rucheRows, 4, 0x61fa3b6ad7dd8b4full},
+                      GoldenCase{torus6, 2, 0x1745e44543c2739dull, 1},
+                      GoldenCase{torus6, 2, 0x3af2037591e7a604ull, 3},
+                      GoldenCase{torus6, 2, 0xbd63db7e2c0780e7ull, 4},
+                      GoldenCase{ruche6, 2, 0x1ddb0cdde93de779ull, 1},
+                      GoldenCase{ruche6, 2, 0x6bf5ea59c0fa0fecull, 3},
+                      GoldenCase{ruche6, 2, 0x2d14d22a9384fdf9ull, 4}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
         return ::testing::PrintToString(info.param);
     });

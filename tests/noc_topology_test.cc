@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <tuple>
+#include <utility>
 
 #include "noc/topology.hh"
 
@@ -99,18 +103,60 @@ TEST(Topology, TorusPicksShorterWrap)
     EXPECT_EQ(t.route(t.tileAt(0, 0), t.tileAt(3, 0)), portEast);
 }
 
+// Square, wide, one-tile-wide and one-tile-high grids: every
+// displacement a route can see, including the edges of a grid with a
+// single column or row.
+constexpr std::array<std::pair<std::uint32_t, std::uint32_t>, 4>
+    hopGrids{{{8, 8}, {7, 3}, {1, 7}, {7, 1}}};
+
+/**
+ * Check hopCount over every (source, destination) pair of each grid
+ * against `expected(dx, dy, width, height)`, the signed displacement
+ * being destination minus source.
+ */
+template <typename Expected>
+void
+checkEveryHopCount(NocTopology type, Expected expected)
+{
+    for (const auto& [width, height] : hopGrids) {
+        const Topology t(type, width, height);
+        for (TileId src = 0; src < t.numTiles(); ++src) {
+            for (TileId dst = 0; dst < t.numTiles(); ++dst) {
+                const auto dx = static_cast<std::int32_t>(t.tileX(dst)) -
+                                static_cast<std::int32_t>(t.tileX(src));
+                const auto dy = static_cast<std::int32_t>(t.tileY(dst)) -
+                                static_cast<std::int32_t>(t.tileY(src));
+                EXPECT_EQ(t.hopCount(src, dst),
+                          expected(dx, dy, width, height))
+                    << toString(type) << " " << width << "x" << height
+                    << " " << src << "->" << dst;
+            }
+        }
+    }
+}
+
 TEST(Topology, MeshHopCountIsManhattan)
 {
-    const Topology t(NocTopology::mesh, 8, 8);
-    EXPECT_EQ(t.hopCount(t.tileAt(1, 2), t.tileAt(5, 7)), 4u + 5u);
-    EXPECT_EQ(t.hopCount(t.tileAt(5, 7), t.tileAt(5, 7)), 0u);
+    checkEveryHopCount(NocTopology::mesh,
+                       [](std::int32_t dx, std::int32_t dy,
+                          std::uint32_t, std::uint32_t) {
+                           return static_cast<std::uint32_t>(
+                               std::abs(dx) + std::abs(dy));
+                       });
 }
 
 TEST(Topology, TorusHopCountUsesWrap)
 {
-    const Topology t(NocTopology::torus, 8, 8);
-    EXPECT_EQ(t.hopCount(t.tileAt(0, 0), t.tileAt(7, 0)), 1u);
-    EXPECT_EQ(t.hopCount(t.tileAt(0, 0), t.tileAt(4, 4)), 8u);
+    // Each dimension takes the shorter way around its ring.
+    auto ring = [](std::int32_t d, std::uint32_t size) {
+        const auto mag = static_cast<std::uint32_t>(std::abs(d));
+        return std::min(mag, size - mag);
+    };
+    checkEveryHopCount(NocTopology::torus,
+                       [&](std::int32_t dx, std::int32_t dy,
+                           std::uint32_t width, std::uint32_t height) {
+                           return ring(dx, width) + ring(dy, height);
+                       });
 }
 
 TEST(Topology, RucheReducesHops)
@@ -133,15 +179,22 @@ TEST(Topology, RucheRoutesTakeLongLinksFirst)
 
 TEST(Topology, EveryRouteTerminates)
 {
-    for (const NocTopology type :
-         {NocTopology::mesh, NocTopology::torus,
-          NocTopology::torusRuche}) {
-        const Topology t(type, 6, 5,
-                         type == NocTopology::torusRuche ? 2 : 0);
+    // The 1x16 and 16x2 ruche-3 grids each use the ruche ports of one
+    // dimension only.
+    const std::tuple<NocTopology, std::uint32_t, std::uint32_t,
+                     std::uint32_t>
+        grids[] = {{NocTopology::mesh, 6, 5, 0},
+                   {NocTopology::torus, 6, 5, 0},
+                   {NocTopology::torusRuche, 6, 5, 2},
+                   {NocTopology::torusRuche, 1, 16, 3},
+                   {NocTopology::torusRuche, 16, 2, 3}};
+    for (const auto& [type, width, height, ruche] : grids) {
+        const Topology t(type, width, height, ruche);
         for (TileId src = 0; src < t.numTiles(); ++src)
             for (TileId dst = 0; dst < t.numTiles(); ++dst)
                 EXPECT_LT(t.hopCount(src, dst), 12u)
-                    << toString(type) << " " << src << "->" << dst;
+                    << toString(type) << " " << width << "x" << height
+                    << " " << src << "->" << dst;
     }
 }
 
