@@ -12,6 +12,17 @@ namespace dalorex
 namespace
 {
 constexpr Cycle neverCycle = ~Cycle(0);
+
+/** Hint that `addr` is read soon; does nothing where unsupported. */
+inline void
+prefetchRead(const void* addr)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(addr);
+#else
+    (void)addr;
+#endif
+}
 } // namespace
 
 Network::Network(const NocConfig& config, DeliverFn deliver,
@@ -53,12 +64,21 @@ Network::Network(const NocConfig& config, DeliverFn deliver,
                         config_.bufferSlots);
     waiters_.assign(std::size_t(topo_.numTiles()) * pairStride_, 0);
 
+    rotation_ = numPorts * config_.numChannels;
+    for (unsigned pair = 0; pair < rotation_; ++pair) {
+        pairSplit_[pair] = {
+            static_cast<Port>(pair / config_.numChannels),
+            static_cast<ChannelId>(pair % config_.numChannels)};
+    }
+
     for (TileId r = 0; r < routers_.size(); ++r) {
         for (unsigned p = 0; p < numPorts; ++p) {
             const auto port = static_cast<Port>(p);
             routers_[r].neighborId[p] =
                 topo_.hasNeighbor(r, port) ? topo_.neighbor(r, port) : r;
         }
+        routers_[r].rotationOffset =
+            static_cast<std::uint8_t>(r % rotation_);
     }
     setNumShards(1);
 }
@@ -69,7 +89,12 @@ Network::setNumShards(unsigned shards)
     const auto tiles = static_cast<TileId>(topo_.numTiles());
     const unsigned n =
         std::max(1u, std::min<unsigned>(shards, tiles));
+    // The counters (in-flight messages included) carry over in shard 0.
+    const NocStats stats_so_far = stats();
+    const std::uint64_t scans_so_far = routerScans();
     shards_.assign(n, Shard{});
+    shards_[0].stats = stats_so_far;
+    shards_[0].routerScans = scans_so_far;
     routerShard_.assign(tiles, 0);
     for (unsigned s = 0; s < n; ++s) {
         shards_[s].beginRouter =
@@ -164,7 +189,6 @@ Network::tryInject(const Message& msg, TileId src, Cycle now,
     router.injectFreeAt = now + msg.numWords;
     router.wakeAt = 0;
     activateRouter(src);
-    inFlight_.fetch_add(1, std::memory_order_relaxed);
     ++shards_[shard].stats.messagesInjected;
     markActive(src, now, msg.numWords);
     return InjectResult::ok;
@@ -230,7 +254,6 @@ Network::tryMove(TileId router_id, Port in_port, ChannelId channel,
         router.linkFreeAt[portLocal] = now + len;
         shard.stats.routerPassages += len;
         ++shard.stats.messagesDelivered;
-        inFlight_.fetch_sub(1, std::memory_order_relaxed);
         markActive(router_id, now, len);
         stagePop(router_id, in_port, channel, shard);
         return true;
@@ -269,8 +292,7 @@ void
 Network::computeRouter(TileId r, Cycle now, Shard& shard)
 {
     DLX_OWN_WRITE(ownershipDomain(), r, "computeRouter");
-    const unsigned channels = config_.numChannels;
-    const unsigned pairs = numPorts * channels;
+    const unsigned pairs = rotation_;
 
     Router& router = routers_[r];
     const std::uint64_t pending =
@@ -287,14 +309,25 @@ Network::computeRouter(TileId r, Cycle now, Shard& shard)
         router.wakeAt = router.deferUntil;
         return;
     }
-    // Round-robin arbitration: rotate the scan starting point so no
-    // (port, channel) pair gets static priority.
-    const unsigned shift =
-        static_cast<unsigned>((now + r) % pairs);
-    const std::uint64_t mask = (pairs >= 64)
-                                   ? ~std::uint64_t(0)
-                                   : ((std::uint64_t(1) << pairs) -
-                                      1);
+    // Every scannable head is read below; start all of their loads
+    // before the first one is needed.
+    for (std::uint64_t heads = scannable; heads != 0;
+         heads &= heads - 1) {
+        const auto pair = static_cast<unsigned>(std::countr_zero(heads));
+        prefetchRead(slotsOf(r, pair) + router.fifos[pair].head);
+    }
+    // Round-robin arbitration: the scan starts at pair (now + r) %
+    // pairs, one pair further each cycle. The rotation spans
+    // numPorts x channels positions, but a two-channel mesh or torus
+    // router uses only 10 of its 18, and every start past the last
+    // pair in use wraps round to pair 0 (local injection, channel 0).
+    // So pair 0 is scanned first in 9 of every 18 cycles and each
+    // other pair in 1 of 18, a bias the paper's round-robin does not
+    // have (README "Modelling substitutions").
+    unsigned shift = shard.rotationAt + router.rotationOffset;
+    if (shift >= pairs)
+        shift -= pairs;
+    const std::uint64_t mask = (std::uint64_t(1) << pairs) - 1;
     std::uint64_t rotated =
         ((scannable >> shift) | (scannable << (pairs - shift))) &
         mask;
@@ -303,12 +336,13 @@ Network::computeRouter(TileId r, Cycle now, Shard& shard)
         const unsigned bit =
             static_cast<unsigned>(std::countr_zero(rotated));
         rotated &= rotated - 1;
-        const unsigned pair = (bit + shift) % pairs;
-        const auto in_port = static_cast<Port>(pair / channels);
-        const auto channel =
-            static_cast<ChannelId>(pair % channels);
+        unsigned pair = bit + shift;
+        if (pair >= pairs)
+            pair -= pairs;
+        const PairSplit split = pairSplit_[pair];
         Cycle retry_at = neverCycle;
-        if (tryMove(r, in_port, channel, now, shard, retry_at)) {
+        if (tryMove(r, split.port, split.channel, now, shard,
+                    retry_at)) {
             moved = true;
         } else if (retry_at != neverCycle) {
             router.deferMask |= std::uint64_t(1) << pair;
@@ -329,6 +363,7 @@ Network::stepCompute(unsigned shard_index, Cycle now)
     Shard& shard = shards_[shard_index];
     DLX_OWN_SCOPE(ownershipDomain(), "noc-compute", shard.beginRouter,
                   shard.endRouter);
+    shard.rotationAt = static_cast<unsigned>(now % rotation_);
 
     // Visit only the listed routers. Occupancy only clears in the
     // serial commit (pops are staged), so check-then-compute is
@@ -421,7 +456,7 @@ Network::commitShard(unsigned shard_index, Cycle)
 void
 Network::step(Cycle now)
 {
-    if (inFlight_.load(std::memory_order_relaxed) == 0)
+    if (quiescent())
         return;
     for (unsigned s = 0; s < shards_.size(); ++s)
         stepCompute(s, now);
@@ -446,6 +481,17 @@ Network::checkWorklists() const
                      "active list");
         }
     }
+}
+
+std::uint64_t
+Network::bufferedMessages() const
+{
+    std::uint64_t buffered = 0;
+    for (const Router& router : routers_) {
+        for (unsigned pair = 0; pair < pairStride_; ++pair)
+            buffered += router.fifos[pair].count;
+    }
+    return buffered;
 }
 #endif
 

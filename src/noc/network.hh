@@ -76,7 +76,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -190,16 +189,21 @@ class Network
 
     /** True when no message is buffered anywhere in the network.
      *  Valid between cycles (after commitShard / outside phases). */
-    bool
-    quiescent() const
-    {
-        return inFlight_.load(std::memory_order_relaxed) == 0;
-    }
+    bool quiescent() const { return inFlight() == 0; }
 
+    /** Messages injected and not yet delivered: the per-shard counts
+     *  summed, so injection and delivery share no counter. Valid
+     *  between cycles. */
     std::uint64_t
     inFlight() const
     {
-        return inFlight_.load(std::memory_order_relaxed);
+        std::uint64_t injected = 0;
+        std::uint64_t delivered = 0;
+        for (const Shard& shard : shards_) {
+            injected += shard.stats.messagesInjected;
+            delivered += shard.stats.messagesDelivered;
+        }
+        return injected - delivered;
     }
 
     /** Aggregate counters, merged over shards (cheap; call freely
@@ -278,6 +282,9 @@ class Network
     /** Panic unless every router holding a message is on its shard's
      *  active list. Valid between cycles. */
     void checkWorklists() const;
+    /** Messages held in the buffers of every router: the FIFO counts
+     *  summed. Valid between cycles. */
+    std::uint64_t bufferedMessages() const;
 #endif
 
   private:
@@ -359,6 +366,9 @@ class Network
          * engine skip hopeless injection retries.
          */
         std::uint8_t injectBlocked = 0;
+        /** router id % rotation_: this router's fixed offset in the
+         *  round-robin scan (fills padding before fifos). */
+        std::uint8_t rotationOffset = 0;
 
         /** fifos[port * numChannels + channel] — the same pair index
          *  as the masks; portLocal holds injected traffic. */
@@ -369,6 +379,13 @@ class Network
         std::array<TileId, numPorts> neighborId{};
     };
     static_assert(sizeof(Router) <= 320, "Router fits in 5 cache lines");
+
+    /** The input port and channel of a pair index. */
+    struct PairSplit
+    {
+        Port port;
+        ChannelId channel;
+    };
 
     /** One staged cross-router (or deferred intra-router) effect. */
     struct StagedPop
@@ -430,6 +447,9 @@ class Network
         std::vector<std::uint64_t> activeMask;
         /** Router visits performed (whole-run accumulator). */
         std::uint64_t routerScans = 0;
+        /** now % rotation_ for the compute phase in progress. Per
+         *  shard: every shard's worker sets it at once. */
+        unsigned rotationAt = 0;
     };
 
     void markActive(TileId router, Cycle now, unsigned len);
@@ -483,6 +503,14 @@ class Network
      *  of ports: a 1-wide torus-ruche grid uses the ruche north/south
      *  ports but not ruche east/west, which are numbered below them. */
     unsigned pairStride_ = 0;
+    /** Positions in the round-robin rotation: numPorts x numChannels
+     *  (at most 36), whether or not every port is in use. */
+    unsigned rotation_ = 0;
+    static_assert(numPorts * maxChannels < 64,
+                  "every pair has a bit in the 64-bit pair masks");
+    /** pairSplit_[pair] = {pair / numChannels, pair % numChannels}
+     *  for every pair of the rotation. */
+    std::array<PairSplit, numPorts * maxChannels> pairSplit_{};
     /** Slots of every buffer: [(router * pairStride_ + pair) *
      *  bufferSlots + i], one allocation for the whole network. */
     std::vector<InFlight> bufferArena_;
@@ -501,7 +529,6 @@ class Network
     std::vector<Shard> shards_;
     /** router -> owning shard (active-list insertion). */
     std::vector<std::uint32_t> routerShard_;
-    std::atomic<std::uint64_t> inFlight_{0};
 #if DALOREX_OWNERSHIP_CHECKS
     /** Shard-ownership checker domain (see setOwnershipDomain). */
     const void* ownershipDomain_ = nullptr;

@@ -28,12 +28,32 @@ Topology::Topology(NocTopology topology, std::uint32_t width,
 {
     fatal_if(width == 0 || height == 0, "degenerate grid ", width, "x",
              height);
+    fatal_if(width > 65535 || height > 65535, "grid ", width, "x",
+             height, " exceeds 16-bit coordinates");
     if (type_ == NocTopology::torusRuche) {
         fatal_if(ruche_ < 2, "ruche factor must be >= 2, got ", ruche_);
         fatal_if(ruche_ >= width_ && width_ > 1,
                  "ruche factor ", ruche_, " >= grid width ", width_);
     } else {
         ruche_ = 0;
+    }
+
+    coords_.resize(numTiles());
+    for (TileId t = 0; t < numTiles(); ++t) {
+        coords_[t] = {static_cast<std::uint16_t>(tileX(t)),
+                      static_cast<std::uint16_t>(tileY(t))};
+    }
+    xPorts_.resize(2 * width_ - 1);
+    for (std::uint32_t i = 0; i < xPorts_.size(); ++i) {
+        xPorts_[i] = axisPort(static_cast<std::int32_t>(i) -
+                                  static_cast<std::int32_t>(width_ - 1),
+                              true);
+    }
+    yPorts_.resize(2 * height_ - 1);
+    for (std::uint32_t i = 0; i < yPorts_.size(); ++i) {
+        yPorts_[i] = axisPort(static_cast<std::int32_t>(i) -
+                                  static_cast<std::int32_t>(height_ - 1),
+                              false);
     }
 }
 
@@ -153,11 +173,8 @@ Topology::oppositePort(Port out_port)
 }
 
 std::int32_t
-Topology::delta(std::uint32_t from, std::uint32_t to,
-                std::uint32_t size) const
+Topology::delta(std::int32_t diff, std::uint32_t size) const
 {
-    auto diff = static_cast<std::int32_t>(to) -
-                static_cast<std::int32_t>(from);
     if (type_ == NocTopology::mesh || size <= 1)
         return diff;
     // Torus: shortest wrap-aware displacement; ties resolve positive.
@@ -170,31 +187,18 @@ Topology::delta(std::uint32_t from, std::uint32_t to,
 }
 
 Port
-Topology::route(TileId here, TileId dest) const
+Topology::axisPort(std::int32_t diff, bool horizontal) const
 {
-    panic_if(here >= numTiles() || dest >= numTiles(),
-             "route() outside grid");
-    const std::int32_t dx = delta(tileX(here), tileX(dest), width_);
-    const std::int32_t dy = delta(tileY(here), tileY(dest), height_);
-
-    // Dimension-ordered: resolve X first, then Y.
-    if (dx != 0) {
-        const auto mag = static_cast<std::uint32_t>(std::abs(dx));
-        if (ruche_ >= 2 && mag >= ruche_ &&
-            portActive(dx > 0 ? portRucheEast : portRucheWest)) {
-            return dx > 0 ? portRucheEast : portRucheWest;
-        }
-        return dx > 0 ? portEast : portWest;
-    }
-    if (dy != 0) {
-        const auto mag = static_cast<std::uint32_t>(std::abs(dy));
-        if (ruche_ >= 2 && mag >= ruche_ &&
-            portActive(dy > 0 ? portRucheSouth : portRucheNorth)) {
-            return dy > 0 ? portRucheSouth : portRucheNorth;
-        }
-        return dy > 0 ? portSouth : portNorth;
-    }
-    return portLocal;
+    const std::int32_t d = delta(diff, horizontal ? width_ : height_);
+    if (d == 0)
+        return portLocal;
+    const auto mag = static_cast<std::uint32_t>(std::abs(d));
+    const Port ruche = horizontal ? (d > 0 ? portRucheEast : portRucheWest)
+                                  : (d > 0 ? portRucheSouth : portRucheNorth);
+    if (ruche_ >= 2 && mag >= ruche_ && portActive(ruche))
+        return ruche;
+    return horizontal ? (d > 0 ? portEast : portWest)
+                      : (d > 0 ? portSouth : portNorth);
 }
 
 std::uint32_t
@@ -235,23 +239,6 @@ Topology::hopWireTiles(Port port) const
       default:
         panic("hopWireTiles of ", int(port));
     }
-}
-
-bool
-Topology::entersRing(Port in_port, Port out_port) const
-{
-    if (type_ == NocTopology::mesh)
-        return false;
-    if (out_port == portLocal)
-        return false;
-    // Injection from the tile, a turn into the other dimension, or a
-    // switch between the unit-link ring and a ruche ring all *enter* a
-    // physical ring and must leave a bubble behind. A message
-    // continuing inside its ring arrives through the port opposite its
-    // exit (e.g. in from the west, out to the east). Each physical ring
-    // thus keeps at least one free slot, and since dimension-ordered
-    // traffic is monotone around a ring, progress is always possible.
-    return in_port != oppositePort(out_port);
 }
 
 } // namespace dalorex

@@ -571,12 +571,12 @@ Machine::checkConservation() const
              cq_total, " CQ entries but the engine counts ", pendingIq_,
              " and ", pendingCq_, " at cycle ", now_);
     const NocStats noc = network_->stats();
-    panic_if(noc.messagesInjected - noc.messagesDelivered !=
-                 network_->inFlight(),
+    const std::uint64_t buffered = network_->bufferedMessages();
+    panic_if(network_->inFlight() != buffered,
              "conservation: ", noc.messagesInjected,
              " messages injected and ", noc.messagesDelivered,
-             " delivered but ", network_->inFlight(),
-             " in flight at cycle ", now_);
+             " delivered but ", buffered, " buffered in routers at cycle ",
+             now_);
 }
 #endif
 

@@ -462,10 +462,11 @@ class Machine
     /**
      * Panic unless work is conserved: each tile's pending IQ and CQ
      * entries equal its queues' summed counts, pendingIq_ and
-     * pendingCq_ equal the sums over tiles, and every message
-     * injected and not yet delivered is in flight. A queue changed
-     * behind the counters' back would end a run with work left or
-     * never let it end. Run in the serial tail of every cycle.
+     * pendingCq_ equal the sums over tiles, and the messages injected
+     * and not yet delivered equal those buffered in the routers'
+     * FIFOs. A queue changed behind the counters' back would end a
+     * run with work left or never let it end. Run in the serial tail
+     * of every cycle.
      */
     void checkConservation() const;
 #endif
