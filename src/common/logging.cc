@@ -17,12 +17,6 @@ setLogQuiet(bool quiet)
     quietFlag = quiet;
 }
 
-bool
-logQuiet()
-{
-    return quietFlag;
-}
-
 namespace log_detail
 {
 

@@ -44,7 +44,6 @@ composeMessage(Args&&... args)
 
 /** Whether warn()/inform() output is emitted (tests silence it). */
 void setLogQuiet(bool quiet);
-bool logQuiet();
 
 } // namespace dalorex
 

@@ -26,12 +26,11 @@ prefetchRead(const void* addr)
 } // namespace
 
 Network::Network(const NocConfig& config, DeliverFn deliver,
-                 InjectSpaceFn on_inject_space)
+                 unsigned shards)
     : config_(config),
       topo_(config.topology, config.width, config.height,
             config.rucheFactor),
-      deliver_(std::move(deliver)),
-      onInjectSpace_(std::move(on_inject_space))
+      deliver_(std::move(deliver))
 {
     fatal_if(config_.numChannels == 0 ||
                  config_.numChannels > maxChannels,
@@ -80,21 +79,10 @@ Network::Network(const NocConfig& config, DeliverFn deliver,
         routers_[r].rotationOffset =
             static_cast<std::uint8_t>(r % rotation_);
     }
-    setNumShards(1);
-}
 
-void
-Network::setNumShards(unsigned shards)
-{
     const auto tiles = static_cast<TileId>(topo_.numTiles());
-    const unsigned n =
-        std::max(1u, std::min<unsigned>(shards, tiles));
-    // The counters (in-flight messages included) carry over in shard 0.
-    const NocStats stats_so_far = stats();
-    const std::uint64_t scans_so_far = routerScans();
-    shards_.assign(n, Shard{});
-    shards_[0].stats = stats_so_far;
-    shards_[0].routerScans = scans_so_far;
+    const unsigned n = std::max(1u, std::min<unsigned>(shards, tiles));
+    shards_.resize(n);
     routerShard_.assign(tiles, 0);
     for (unsigned s = 0; s < n; ++s) {
         shards_[s].beginRouter =
@@ -109,12 +97,6 @@ Network::setNumShards(unsigned shards)
             0);
         shards_[s].pushesTo.resize(n);
         shards_[s].wakesTo.resize(n);
-    }
-    // A new split discards the previous worklists; rebuild membership
-    // from the occupancy ground truth.
-    for (TileId r = 0; r < routers_.size(); ++r) {
-        if (routers_[r].occupancy != 0)
-            activateRouter(r);
     }
 }
 
@@ -187,7 +169,6 @@ Network::tryInject(const Message& msg, TileId src, Cycle now,
     pushEntry(src, pair, entry);
     router.occupancy |= std::uint64_t(1) << pair;
     router.injectFreeAt = now + msg.numWords;
-    router.wakeAt = 0;
     activateRouter(src);
     ++shards_[shard].stats.messagesInjected;
     markActive(src, now, msg.numWords);
@@ -297,7 +278,7 @@ Network::computeRouter(TileId r, Cycle now, Shard& shard)
     Router& router = routers_[r];
     const std::uint64_t pending =
         router.occupancy & ~router.blocked;
-    if (pending == 0 || router.wakeAt > now)
+    if (pending == 0)
         return;
     if (now >= router.deferUntil) {
         // The earliest timed defer matured: rescan the whole set.
@@ -305,10 +286,8 @@ Network::computeRouter(TileId r, Cycle now, Shard& shard)
         router.deferUntil = neverCycle;
     }
     const std::uint64_t scannable = pending & ~router.deferMask;
-    if (scannable == 0) {
-        router.wakeAt = router.deferUntil;
+    if (scannable == 0)
         return;
-    }
     // Every scannable head is read below; start all of their loads
     // before the first one is needed.
     for (std::uint64_t heads = scannable; heads != 0;
@@ -331,7 +310,6 @@ Network::computeRouter(TileId r, Cycle now, Shard& shard)
     std::uint64_t rotated =
         ((scannable >> shift) | (scannable << (pairs - shift))) &
         mask;
-    bool moved = false;
     while (rotated != 0) {
         const unsigned bit =
             static_cast<unsigned>(std::countr_zero(rotated));
@@ -341,20 +319,14 @@ Network::computeRouter(TileId r, Cycle now, Shard& shard)
             pair -= pairs;
         const PairSplit split = pairSplit_[pair];
         Cycle retry_at = neverCycle;
-        if (tryMove(r, split.port, split.channel, now, shard,
-                    retry_at)) {
-            moved = true;
-        } else if (retry_at != neverCycle) {
+        if (!tryMove(r, split.port, split.channel, now, shard,
+                     retry_at) &&
+            retry_at != neverCycle) {
             router.deferMask |= std::uint64_t(1) << pair;
             router.deferUntil =
                 std::min(router.deferUntil, retry_at);
         }
     }
-    // A move leaves successor heads (and freshly freed links)
-    // worth rescanning next cycle; otherwise sleep until the
-    // earliest timed retry. Event-driven sleepers (`blocked`)
-    // re-arm wakeAt through their wake.
-    router.wakeAt = moved ? now + 1 : router.deferUntil;
 }
 
 void
@@ -366,7 +338,7 @@ Network::stepCompute(unsigned shard_index, Cycle now)
     shard.rotationAt = static_cast<unsigned>(now % rotation_);
 
     // Visit only the listed routers. Occupancy only clears in the
-    // serial commit (pops are staged), so check-then-compute is
+    // commit (pops are staged), so check-then-compute is
     // exact: a router that drained last commit is swept here, and one
     // that refills during the next commit is re-queued by the push's
     // activateRouter before the sweep could go stale. Compute never
@@ -384,7 +356,7 @@ Network::stepCompute(unsigned shard_index, Cycle now)
 }
 
 void
-Network::commitShard(unsigned shard_index, Cycle)
+Network::commitShard(unsigned shard_index)
 {
     const unsigned channels = config_.numChannels;
     Shard& mine = shards_[shard_index];
@@ -402,17 +374,11 @@ Network::commitShard(unsigned shard_index, Cycle)
             fifo.head = 0;
         if (--fifo.count == 0)
             router.occupancy &= ~(std::uint64_t(1) << pair);
-        // A pop on the local input buffer frees injection space: let
-        // the engine retry the tile's stalled channels (the upstream
-        // wake of a non-local pop was staged into wakesTo of the
-        // upstream router's shard at pop time).
-        if (pop.inPort == portLocal &&
-            (router.injectBlocked &
-             (std::uint8_t(1) << pop.channel)) != 0) {
+        // A pop on the local input buffer frees injection space (the
+        // upstream wake of a non-local pop was staged into wakesTo of
+        // the upstream router's shard at pop time).
+        if (pop.inPort == portLocal)
             router.injectBlocked &= ~(std::uint8_t(1) << pop.channel);
-            if (onInjectSpace_)
-                onInjectSpace_(pop.router, pop.channel);
-        }
     }
     mine.pops.clear();
 
@@ -429,7 +395,6 @@ Network::commitShard(unsigned shard_index, Cycle)
                 Router& up = routers_[wake.router];
                 up.blocked &= ~waiting;
                 waiting = 0;
-                up.wakeAt = 0;
                 // A blocked head implies occupancy, so the upstream
                 // router is already listed; this re-add is a
                 // defensive no-op that keeps the invariant local to
@@ -446,7 +411,6 @@ Network::commitShard(unsigned shard_index, Cycle)
             pushEntry(push.router, pair, push.entry);
             Router& dst = routers_[push.router];
             dst.occupancy |= std::uint64_t(1) << pair;
-            dst.wakeAt = 0;
             activateRouter(push.router);
         }
         from.pushesTo[shard_index].clear();
@@ -461,7 +425,7 @@ Network::step(Cycle now)
     for (unsigned s = 0; s < shards_.size(); ++s)
         stepCompute(s, now);
     for (unsigned s = 0; s < shards_.size(); ++s)
-        commitShard(s, now);
+        commitShard(s);
 #if DALOREX_OWNERSHIP_CHECKS
     checkWorklists();
 #endif

@@ -41,28 +41,33 @@
  * each waiter slot at most one wake (only the pop of the watched
  * buffer stages it), and all remaining effect pairs touch disjoint
  * state or are idempotent — so the destination-grouped order is
- * byte-identical to the old serial fixed-order commit, at every
- * shard count. step() runs both phases for every shard on the
+ * byte-identical to a serial fixed-order commit, at every shard
+ * count. The commit writes router state only, never the engine's, so
+ * the engine's worker for shard d goes on to its own tiles without
+ * another barrier. step() runs both phases for every shard on the
  * calling thread, for stand-alone users.
  *
  * The compute phase is event-driven: each shard keeps an active-router
  * worklist holding exactly the routers with a buffered message,
  * maintained where messages appear (injections during the tile phase,
- * staged pushes and wakes during the serial commit) and swept lazily
- * when a router drains. Quiet regions of the grid therefore cost
- * nothing per cycle.
+ * staged pushes and wakes during the commit) and swept lazily when a
+ * router drains. Quiet regions of the grid therefore cost nothing per
+ * cycle.
  *
- * State layout: routers are the scan's working set, so each Router
- * keeps only what the scan reads every visit — the occupancy, blocked
- * and defer masks, the wake cycles, a 4-byte ring cursor per
- * (port, channel) buffer, and per-port link and neighbour state. The
- * rest lives in flat network-wide arrays sized to the ports and
- * channels in use: the buffered entries in bufferArena_ and the
- * waiter masks (written when a head blocks, read by a commit wake) in
- * waiters_. Both are strided by pairStride_ = (highest active port +
- * 1) x numChannels (pairs per router). A 64x64 two-channel torus with
- * 4-slot buffers holds 1.3 MB of routers (312 B each, so they fit in
- * a 2 MB L2), 5.2 MB of buffer slots and 0.3 MB of waiter masks.
+ * State layout: each piece of state has one owner. Routers are the
+ * scan's working set, so each Router keeps only what the scan reads
+ * every visit — the occupancy, blocked and defer masks, the defer
+ * cycle, a 4-byte ring cursor per (port, channel) buffer, and
+ * per-port link and neighbour state — plus the injection port's
+ * state, which the engine reads through injectBlocked() and
+ * injectFreeAt() instead of mirroring it in the tile. The rest lives
+ * in flat network-wide arrays sized to the ports and channels in use:
+ * the buffered entries in bufferArena_ and the waiter masks (written
+ * when a head blocks, read by a commit wake) in waiters_. Both are
+ * strided by pairStride_ = (highest active port + 1) x numChannels
+ * (pairs per router). A 64x64 two-channel torus with 4-slot buffers
+ * holds 1.25 MB of routers (304 B each, so they fit in a 2 MB L2),
+ * 5.2 MB of buffer slots and 0.3 MB of waiter masks.
  *
  * Simplifications vs RTL (README "Modelling substitutions"): buffers
  * are counted in message slots rather than a shared per-direction flit
@@ -135,23 +140,15 @@ class Network
   public:
     /** Returns true if the tile accepted the message. */
     using DeliverFn = std::function<bool(const Message&)>;
-    /** Notified when a full local input buffer frees a slot. */
-    using InjectSpaceFn = std::function<void(TileId, ChannelId)>;
-
-    Network(const NocConfig& config, DeliverFn deliver,
-            InjectSpaceFn on_inject_space = nullptr);
 
     /**
-     * Partition the routers into `shards` contiguous ranges for
-     * stepCompute/commitShard. Purely an execution concern: timing and
-     * stats are byte-identical for every shard count. Must be called
-     * before the first step when the engine runs sharded.
+     * `shards` partitions the routers into that many contiguous ranges
+     * for stepCompute/commitShard (clamped to [1, routers]). Purely an
+     * execution concern: timing and stats are byte-identical for every
+     * shard count.
      */
-    void setNumShards(unsigned shards);
-    unsigned numShards() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
+    Network(const NocConfig& config, DeliverFn deliver,
+            unsigned shards = 1);
 
     /**
      * Try to move a message from tile `src`'s channel queue into the
@@ -162,7 +159,8 @@ class Network
     InjectResult tryInject(const Message& msg, TileId src, Cycle now,
                            unsigned shard = 0);
 
-    /** Advance every router one cycle (compute + commit, one shard). */
+    /** Advance every router one cycle: compute, then commit, of every
+     *  shard on the calling thread. */
     void step(Cycle now);
 
     /**
@@ -180,12 +178,15 @@ class Network
      * destination router lies in shard `shard`, in (source shard,
      * staging sequence) order. Distinct shards may run concurrently —
      * each worker writes only routers of its own range — but a
-     * barrier must separate commitShard from both the preceding
-     * compute phase and any subsequent reader (the effect application
-     * orders commute, see the file comment, so the merged state is
-     * byte-identical to a serial commit).
+     * barrier must separate commitShard from the preceding compute
+     * phase. Afterwards, only work on shard `shard`'s own routers may
+     * follow on the same thread without a barrier; anything reading
+     * other shards' routers (the next compute phase, quiescent(),
+     * stats()) needs one. The effect application orders commute (see
+     * the file comment), so the merged state is byte-identical to a
+     * serial commit.
      */
-    void commitShard(unsigned shard, Cycle now);
+    void commitShard(unsigned shard);
 
     /** True when no message is buffered anywhere in the network.
      *  Valid between cycles (after commitShard / outside phases). */
@@ -235,7 +236,6 @@ class Network
         DLX_OWN_WRITE(ownershipDomain(), router, "wakeRouter");
         Router& r = routers_[router];
         r.blocked = 0;
-        r.wakeAt = 0;
         std::fill_n(waitersOf(router), pairStride_, 0);
     }
 
@@ -262,8 +262,10 @@ class Network
 #endif
 
     /**
-     * True when a tryInject on this channel is known to fail because
-     * the local input buffer is full (engine fast-path check).
+     * True when a tryInject on this channel found the local input
+     * buffer full and that buffer has not popped since, so another try
+     * is known to fail. The engine checks it before touching the
+     * tile's channel queue.
      */
     bool
     injectBlocked(TileId router, ChannelId channel) const
@@ -323,7 +325,7 @@ class Network
     struct Router
     {
         // Hot scan scalars lead the struct so the per-cycle
-        // pending/wake checks touch one cache line before the
+        // pending/defer checks touch one cache line before the
         // buffer cursors and per-port state.
 
         /** Non-empty (port, channel) pairs, bit port*channels+chan. */
@@ -337,15 +339,6 @@ class Network
          * commit always wakes the sleeper that cycle).
          */
         std::uint64_t blocked = 0;
-        /**
-         * Next cycle at which a timed wait (head arrived this cycle,
-         * link serializing) can resolve; the scan skips the router
-         * until then. Event-driven waits use `blocked` instead; every
-         * event (push, wake, injection) resets wakeAt to 0. Purely a
-         * scan fast path — skipped cycles are exactly those where no
-         * head could move.
-         */
-        Cycle wakeAt = 0;
         /**
          * Pairs that failed for a *timed* reason (output link still
          * serializing, head arrived this cycle) and the earliest
@@ -436,10 +429,10 @@ class Network
          * Invariant between cycles: every router with occupancy != 0
          * has its bit set. Bits are set where buffered messages
          * appear — successful injections (owning shard's worker) and
-         * the serial commit's staged pushes — and cleared by the
+         * the commit's staged pushes — and cleared by the
          * deferred-removal sweep at the next visit of a drained
          * router, which is safe under the two-phase commit because
-         * pops (the only way occupancy clears) apply serially
+         * pops (the only way occupancy clears) apply in the commit,
          * between compute phases. Bitmap order keeps the scan in
          * ascending router order. Builds with the ownership checker
          * assert the invariant every cycle (checkWorklists).
@@ -456,8 +449,8 @@ class Network
     /**
      * Queue a router on its shard's active worklist (no-op for
      * members). Called where buffered messages appear: successful
-     * injections (owning shard's worker) and the serial commit's
-     * staged pushes and wakes.
+     * injections (owning shard's worker) and the commit's staged
+     * pushes and wakes.
      */
     void activateRouter(TileId router);
     /** Scan one router's movable heads (the compute-phase body). */
@@ -496,7 +489,6 @@ class Network
     NocConfig config_;
     Topology topo_;
     DeliverFn deliver_;
-    InjectSpaceFn onInjectSpace_;
     std::vector<Router> routers_;
     /** Pairs per router in the flat arrays: (highest active port +
      *  1) x numChannels. Strided by the highest port, not the count

@@ -46,11 +46,9 @@ struct JsonValue
     std::vector<JsonValue> items; //!< array elements
     std::vector<std::pair<std::string, JsonValue>> members; //!< object
 
-    bool isNull() const { return kind == Kind::null; }
     bool isBool() const { return kind == Kind::boolean; }
     bool isNumber() const { return kind == Kind::number; }
     bool isString() const { return kind == Kind::string; }
-    bool isArray() const { return kind == Kind::array; }
     bool isObject() const { return kind == Kind::object; }
 
     /** Object member by key; nullptr when absent or not an object. */

@@ -260,10 +260,10 @@ serveUsageText()
         "requests on stdin (default) or a Unix domain socket, runs\n"
         "each scenario on a persistent worker crew with a priority +\n"
         "fair-share queue, and streams JSONL responses. Datasets stay\n"
-        "cached and mmap'd across requests and engine allocations are\n"
-        "reused, so repeated scenarios skip all setup; result\n"
-        "payloads are byte-identical to a standalone `dalorex --json`\n"
-        "run of the same scenario.\n"
+        "cached and mmap'd across requests, and each run's tile queues\n"
+        "take host memory only as they fill; result payloads are\n"
+        "byte-identical to a standalone `dalorex --json` run of the\n"
+        "same scenario.\n"
         "\n"
         "options:\n"
         "  --socket PATH   listen on a Unix domain socket instead of\n"

@@ -15,6 +15,9 @@ namespace dalorex
 namespace
 {
 constexpr Cycle neverCycle = ~Cycle(0);
+/** A run that makes no progress for this many cycles ends with
+ *  RunStatus::deadlock (a kernel bug) instead of spinning forever. */
+constexpr Cycle watchdogCycles = 1'000'000;
 /**
  * The serial tail reads the clock for RunControl::deadline every this
  * many stepped cycles. One steady_clock::now() costs over half a
@@ -78,10 +81,8 @@ TaskCtx::pop()
     --tile_.pendingIqEntries;
     --shard_.pendingIqDelta;
     ++mutations_;
-    // IQ space appeared: re-arm deliveries and self-injections
-    // sleeping on this tile.
+    // IQ space appeared: re-arm deliveries sleeping on this tile.
     machine_.network_->wakeRouter(tile_.id);
-    tile_.injectStalledMask = 0;
 }
 
 std::uint32_t
@@ -373,8 +374,8 @@ Machine::injectFromCqs(Tile& tile, Cycle now, ShardCtx& shard)
     for (std::uint32_t i = 0; i < num_channels; ++i) {
         const auto c = static_cast<ChannelId>(
             (tile.injectNext + i) % num_channels);
-        if ((tile.injectStalledMask >> c) & 1)
-            continue; // stalled on a full buffer/IQ; wait for a pop
+        if (network_->injectBlocked(tile.id, c))
+            continue; // local buffer full; wait for it to pop
         MsgQueue& cq = tile.cqs[c];
         if (cq.empty())
             continue;
@@ -385,11 +386,8 @@ Machine::injectFromCqs(Tile& tile, Cycle now, ShardCtx& shard)
             // delivery bypasses the network through the TSU.
             const ChannelDef& def = channelDefs_[msg.channel];
             WordQueue& iq = tile.iqs[def.targetTask];
-            if (iq.full()) {
-                // Wait for this tile's IQs to drain (pop re-arms).
-                tile.injectStalledMask |= std::uint8_t(1) << c;
-                continue;
-            }
+            if (iq.full())
+                continue; // wait for this tile's IQ to drain
             iq.push(msg.words.data());
             ++tile.pendingIqEntries;
             ++shard.pendingIqDelta;
@@ -398,15 +396,9 @@ Machine::injectFromCqs(Tile& tile, Cycle now, ShardCtx& shard)
             ++shard.localBypassMsgs;
             tile.schedStalled = false;
         } else {
-            const InjectResult res =
-                network_->tryInject(msg, tile.id, now, shard.index);
-            if (res == InjectResult::bufferFull) {
-                // onInjectSpace re-arms when the buffer pops.
-                tile.injectStalledMask |= std::uint8_t(1) << c;
-                continue;
-            }
-            if (res == InjectResult::portBusy)
-                continue; // transient: retry next cycle
+            if (network_->tryInject(msg, tile.id, now, shard.index) !=
+                InjectResult::ok)
+                continue; // port busy or buffer full: retry next cycle
             shard.tsuReads += msg.numWords;
         }
         cq.pop();
@@ -450,10 +442,8 @@ Machine::stepPu(Tile& tile, Cycle now, ShardCtx& shard)
         --tile.pendingIqEntries;
         --shard.pendingIqDelta;
         shard.tsuReads += def.paramWords;
-        // IQ space appeared: re-arm deliveries and self-injections
-        // sleeping on this tile.
+        // IQ space appeared: re-arm deliveries sleeping on this tile.
         network_->wakeRouter(tile.id);
-        tile.injectStalledMask = 0;
     }
 
     def.fn(*this, tile, ctx);
@@ -607,13 +597,8 @@ Machine::run(App& app, const RunControl* control)
     if (channelDefs_.empty())
         noc_config.msgWords[0] = 1;
     network_ = std::make_unique<Network>(
-        noc_config,
-        [this](const Message& msg) { return deliver(msg); },
-        [this](TileId tile, ChannelId channel) {
-            tiles_[tile].injectStalledMask &=
-                ~(std::uint8_t(1) << channel);
-        });
-    network_->setNumShards(num_shards);
+        noc_config, [this](const Message& msg) { return deliver(msg); },
+        num_shards);
     // Router id == tile id and both layers use the identical shard
     // split, so tile-phase and NoC-phase writes share one ownership
     // domain: this Machine.
@@ -646,8 +631,10 @@ Machine::run(App& app, const RunControl* control)
     // cycle loop below, synchronized by the phase barrier, and the
     // per-cycle serial section rides inside the tail barrier's
     // completion step instead of costing its own rendezvous. With NoC
-    // traffic a cycle is three barrier syncs (compute | commit |
-    // tiles+serial); a quiescent cycle is one.
+    // traffic a cycle is two barrier syncs (compute | commit + tiles
+    // + serial); a quiescent cycle is one. A member's commit writes
+    // only its own routers and its tile phase touches only its own
+    // tiles and routers, so the tiles follow the commit directly.
     PhaseBarrier barrier(num_shards);
 
     // Cycle-loop control block. Written only by the serial section;
@@ -722,11 +709,10 @@ Machine::run(App& app, const RunControl* control)
                 ctl.done = true;
                 return;
             }
-            if (now_ - lastProgress_ > config_.watchdogCycles) {
+            if (now_ - lastProgress_ > watchdogCycles) {
                 stats_.status = RunStatus::deadlock;
                 stats_.statusDetail =
-                    "no progress for " +
-                    std::to_string(config_.watchdogCycles) +
+                    "no progress for " + std::to_string(watchdogCycles) +
                     " cycles at cycle " + std::to_string(now_) +
                     ": pendingIq=" + std::to_string(pendingIq_) +
                     " pendingCq=" + std::to_string(pendingCq_) +
@@ -779,8 +765,7 @@ Machine::run(App& app, const RunControl* control)
             if (ctl.stepNoc) {
                 network_->stepCompute(member, now_);
                 barrier.sync(member);
-                network_->commitShard(member, now_);
-                barrier.sync(member);
+                network_->commitShard(member);
             }
             tilePhase(member, now_);
             barrier.sync(member, &serial_tail);

@@ -88,9 +88,6 @@ struct MachineConfig
      * tile count; 0 behaves like 1.
      */
     unsigned engineThreads = 1;
-    /** End the run with RunStatus::deadlock if this many cycles pass
-     *  without progress (a kernel bug; used to panic the process). */
-    Cycle watchdogCycles = 1'000'000;
     /** Hard cycle limit (0 = none); exceeding it ends the run with
      *  RunStatus::timeout instead of killing the process. */
     Cycle maxCycles = 0;
@@ -199,11 +196,6 @@ struct RunStats
 };
 
 /**
- * Execution context handed to a task body. All scratchpad traffic and
- * ALU work the task performs must be charged through it; the PU stays
- * busy for the accumulated cycle count.
- */
-/**
  * One engine shard: a contiguous tile range plus everything its
  * worker accumulates during a cycle. Deltas and the progress flag are
  * merged (and reset) serially after the tile phase; the stat counters
@@ -252,6 +244,11 @@ struct alignas(64) ShardCtx
     std::uint64_t edgesProcessed = 0;
 };
 
+/**
+ * Execution context handed to a task body. All scratchpad traffic and
+ * ALU work the task performs must be charged through it; the PU stays
+ * busy for the accumulated cycle count.
+ */
 class TaskCtx
 {
   public:
@@ -399,7 +396,6 @@ class Machine
     const Partition& partition() const { return partition_; }
     std::uint32_t numTiles() const { return config_.numTiles(); }
     Tile& tile(TileId t) { return tiles_[t]; }
-    const Tile& tileRef(TileId t) const { return tiles_[t]; }
 
     /** App state of a tile, downcast to the app's type. */
     template <typename StateT>
@@ -415,13 +411,6 @@ class Machine
     state(const Tile& tile)
     {
         return static_cast<StateT&>(*tiles_[tile.id].state);
-    }
-
-    const std::vector<TaskDef>& taskDefs() const { return taskDefs_; }
-    const std::vector<ChannelDef>&
-    channelDefs() const
-    {
-        return channelDefs_;
     }
 
   private:

@@ -63,13 +63,11 @@ class Tile
     std::uint32_t injectNext = 0;
 
     /**
-     * Simulator fast-path flags (no architectural meaning): the TSU
+     * Simulator fast-path flag (no architectural meaning): the TSU
      * found nothing runnable and sleeps until one of this tile's
-     * queues mutates; per-channel injection is stalled on a full
-     * buffer or full local IQ until space appears.
+     * queues mutates.
      */
     bool schedStalled = false;
-    std::uint8_t injectStalledMask = 0;
 
     /** Per-task invocation counts (profile + Fig. 7 ops). */
     std::vector<std::uint64_t> taskInvocations;

@@ -280,6 +280,43 @@ TEST(Machine, DeadlineLapsingMidRunUnwindsPromptly)
     EXPECT_LT(overrun, std::chrono::seconds(1));
 }
 
+/** One task that keeps its IQ entry and does nothing with it. */
+class WedgedApp : public App
+{
+  public:
+    const char* name() const override { return "wedged"; }
+
+    void
+    configure(Machine& machine) override
+    {
+        TaskDef def;
+        def.name = "spin";
+        def.preload = false;
+        def.fn = [](Machine&, Tile&, TaskCtx&) {};
+        task_ = machine.addTask(def);
+    }
+
+    void start(Machine& machine) override { machine.seed(0, task_, {0}); }
+
+  private:
+    TaskId task_ = 0;
+};
+
+TEST(Machine, ProgressWatchdogEndsAWedgedRunAsDeadlock)
+{
+    // The task runs every other cycle and changes nothing, so nothing
+    // counts as progress after the seed and the watchdog ends the run
+    // at the first stepped cycle more than 1,000,000 cycles later.
+    WedgedApp app;
+    Machine machine(config4x4(), 1, 1);
+    const RunStats stats = machine.run(app);
+    EXPECT_EQ(stats.status, RunStatus::deadlock);
+    EXPECT_EQ(stats.cycles, 1'000'002u);
+    EXPECT_EQ(stats.statusDetail,
+              "no progress for 1000000 cycles at cycle 1000002: "
+              "pendingIq=1 pendingCq=0 inFlight=0");
+}
+
 TEST(Machine, NullControlCompletesNormally)
 {
     const Csr graph = testGraph();

@@ -367,8 +367,7 @@ goldenTraffic(const Shape& shape, std::uint32_t buffer_slots,
         for (unsigned w = 0; w < msg.numWords; ++w)
             fnv.add(msg.words[w]);
         return true;
-    });
-    net.setNumShards(shards);
+    }, shards);
     Rng rng(0x5eed);
 
     const unsigned total = 1500;
