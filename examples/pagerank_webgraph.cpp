@@ -55,9 +55,9 @@ main()
         }
     }
 
-    std::printf("ran %u synchronous epochs in %llu cycles "
+    std::printf("ran %llu synchronous epochs in %llu cycles "
                 "(validated)\n\n",
-                stats.epochs,
+                static_cast<unsigned long long>(stats.epochs),
                 static_cast<unsigned long long>(stats.cycles));
 
     // Top pages by rank.

@@ -50,10 +50,11 @@ main()
     const std::vector<Word> dist = app->gatherValues(machine);
     const std::vector<Word> expected =
         referenceBfs(setup.graph, setup.root);
-    std::printf("run: %llu cycles, %u epoch(s), %.1f%% mean PU "
+    std::printf("run: %llu cycles, %llu epoch(s), %.1f%% mean PU "
                 "utilization\n",
                 static_cast<unsigned long long>(stats.cycles),
-                stats.epochs, 100.0 * stats.utilization());
+                static_cast<unsigned long long>(stats.epochs),
+                100.0 * stats.utilization());
     std::printf("validation: %s\n",
                 dist == expected ? "matches sequential BFS"
                                  : "MISMATCH");

@@ -99,14 +99,15 @@ main()
                 "(validated against Dijkstra):\n",
                 root);
     std::printf("  barrierless frontiers: %10llu cycles, "
-                "%3u epoch(s), util %.1f%%\n",
+                "%3llu epoch(s), util %.1f%%\n",
                 static_cast<unsigned long long>(barrierless.cycles),
-                barrierless.epochs,
+                static_cast<unsigned long long>(barrierless.epochs),
                 100.0 * barrierless.utilization());
     std::printf("  global epoch barrier:  %10llu cycles, "
-                "%3u epoch(s), util %.1f%%\n",
+                "%3llu epoch(s), util %.1f%%\n",
                 static_cast<unsigned long long>(barriered.cycles),
-                barriered.epochs, 100.0 * barriered.utilization());
+                static_cast<unsigned long long>(barriered.epochs),
+                100.0 * barriered.utilization());
     std::printf("  barrier removal speedup on this high-diameter "
                 "graph: %.2fx\n",
                 static_cast<double>(barriered.cycles) /

@@ -122,14 +122,16 @@ main()
         singletons += size == 1;
     std::printf("singleton users: %u\n\n", singletons);
 
-    std::printf("barrierless:  %8llu cycles, %3u epoch(s), util "
+    std::printf("barrierless:  %8llu cycles, %3llu epoch(s), util "
                 "%.1f%%\n",
                 static_cast<unsigned long long>(async.cycles),
-                async.epochs, 100.0 * async.utilization());
-    std::printf("synchronized: %8llu cycles, %3u epoch(s), util "
+                static_cast<unsigned long long>(async.epochs),
+                100.0 * async.utilization());
+    std::printf("synchronized: %8llu cycles, %3llu epoch(s), util "
                 "%.1f%%\n",
                 static_cast<unsigned long long>(sync.cycles),
-                sync.epochs, 100.0 * sync.utilization());
+                static_cast<unsigned long long>(sync.epochs),
+                100.0 * sync.utilization());
     std::printf("barrier removal speedup: %.2fx (WCC crosses over "
                 "first; see EXPERIMENTS.md)\n",
                 static_cast<double>(sync.cycles) /

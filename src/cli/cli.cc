@@ -14,9 +14,11 @@
 #include "cli/scenario.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "graph/dataset_cache.hh"
 #include "graph/datasets.hh"
+#include "serve/json.hh"
 
 namespace dalorex
 {
@@ -239,6 +241,22 @@ failRun(RunOutcome outcome, const std::string& message)
     return outcome;
 }
 
+/** Render `rows` of `s` as comma-separated `"key":value` members. */
+template <typename S, std::size_t N>
+void
+putCounters(std::ostream& out, const S& s, const Counter<S> (&rows)[N])
+{
+    const char* sep = "";
+    for (const Counter<S>& row : rows) {
+        out << sep << '"' << row.key << "\":";
+        if (row.field != nullptr)
+            out << s.*row.field;
+        else
+            out << Table::num((s.*row.ratio)());
+        sep = ",";
+    }
+}
+
 } // namespace
 
 RunOutcome
@@ -340,7 +358,7 @@ renderJson(const Report& report)
     out << "{";
     out << "\"kernel\":\"" << o.kernel->name << "\",";
     out << "\"dataset\":{"
-        << "\"name\":\"" << report.datasetName << "\","
+        << "\"name\":" << serve::jsonQuote(report.datasetName) << ","
         << "\"vertices\":" << report.numVertices << ","
         << "\"edges\":" << report.numEdges << ","
         << "\"seed\":" << o.seed << "},";
@@ -356,29 +374,11 @@ renderJson(const Report& report)
         << "\"barrier\":" << (o.machine.barrier ? "true" : "false")
         << ","
         << "\"invoke_overhead\":" << o.machine.invokeOverhead << "},";
-    out << "\"stats\":{"
-        << "\"cycles\":" << s.cycles << ","
-        << "\"epochs\":" << s.epochs << ","
-        << "\"invocations\":" << s.invocations << ","
-        << "\"edges_processed\":" << s.edgesProcessed << ","
-        << "\"pu_busy_cycles\":" << s.puBusyCycles << ","
-        << "\"pu_ops\":" << s.puOps << ","
-        << "\"sram_reads\":" << s.sramReads << ","
-        << "\"sram_writes\":" << s.sramWrites << ","
-        << "\"tsu_reads\":" << s.tsuReads << ","
-        << "\"tsu_writes\":" << s.tsuWrites << ","
-        << "\"local_bypass_msgs\":" << s.localBypassMsgs << ","
-        << "\"utilization\":" << Table::num(s.utilization()) << ","
-        << "\"scratchpad_bytes_total\":" << s.scratchpadBytesTotal
-        << ","
-        << "\"scratchpad_bytes_max\":" << s.scratchpadBytesMax << ","
-        << "\"noc\":{"
-        << "\"messages_injected\":" << s.noc.messagesInjected << ","
-        << "\"messages_delivered\":" << s.noc.messagesDelivered << ","
-        << "\"flit_hops\":" << s.noc.flitHops << ","
-        << "\"flit_wire_tiles\":" << s.noc.flitWireTiles << ","
-        << "\"router_passages\":" << s.noc.routerPassages << ","
-        << "\"delivery_stalls\":" << s.noc.deliveryStalls << "}},";
+    out << "\"stats\":{";
+    putCounters(out, s, runCounters);
+    out << ",\"noc\":{";
+    putCounters(out, s.noc, nocCounters);
+    out << "}},";
     out << "\"energy\":{"
         << "\"logic_j\":" << Table::num(report.energy.logicJ) << ","
         << "\"memory_j\":" << Table::num(report.energy.memoryJ) << ","
@@ -403,20 +403,9 @@ renderJson(const Report& report)
     // report as is.
     out << "\"execution\":{"
         << "\"engine_threads\":" << std::max(1u, o.machine.engineThreads)
-        << ","
-        << "\"stepped_cycles\":" << s.engineSteppedCycles << ","
-        << "\"noc_stepped_cycles\":" << s.nocSteppedCycles << ","
-        << "\"tile_scans\":" << s.tileScans << ","
-        << "\"router_scans\":" << s.routerScans << ","
-        << "\"active_tile_cycles_saved\":" << s.activeTileCyclesSaved
-        << ","
-        << "\"active_router_cycles_saved\":"
-        << s.activeRouterCyclesSaved << ","
-        << "\"tile_scan_occupancy\":"
-        << Table::num(s.tileScanOccupancy()) << ","
-        << "\"router_scan_occupancy\":"
-        << Table::num(s.routerScanOccupancy()) << "}";
-    out << "}\n";
+        << ",";
+    putCounters(out, s, executionCounters);
+    out << "}}\n";
     return out.str();
 }
 

@@ -6,17 +6,6 @@
 namespace dalorex
 {
 
-namespace
-{
-bool quietFlag = false;
-} // namespace
-
-void
-setLogQuiet(bool quiet)
-{
-    quietFlag = quiet;
-}
-
 namespace log_detail
 {
 
@@ -36,20 +25,6 @@ fatalImpl(const char* file, int line, const std::string& msg)
                  line);
     std::fflush(stderr);
     std::exit(1);
-}
-
-void
-warnImpl(const std::string& msg)
-{
-    if (!quietFlag)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string& msg)
-{
-    if (!quietFlag)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace log_detail

@@ -6,8 +6,6 @@
  *            Aborts (may dump core).
  * fatal()  - the simulation cannot continue due to a user error
  *            (bad configuration, invalid arguments). Exits cleanly.
- * warn()   - something is approximated or suspicious but survivable.
- * inform() - normal operating status for the user.
  */
 
 #ifndef DALOREX_COMMON_LOGGING_HH
@@ -27,8 +25,6 @@ namespace log_detail
                             const std::string& msg);
 [[noreturn]] void fatalImpl(const char* file, int line,
                             const std::string& msg);
-void warnImpl(const std::string& msg);
-void informImpl(const std::string& msg);
 
 /** Stream-compose a message from a variadic pack. */
 template <typename... Args>
@@ -41,10 +37,6 @@ composeMessage(Args&&... args)
 }
 
 } // namespace log_detail
-
-/** Whether warn()/inform() output is emitted (tests silence it). */
-void setLogQuiet(bool quiet);
-
 } // namespace dalorex
 
 /** Report a simulator bug and abort. */
@@ -57,16 +49,6 @@ void setLogQuiet(bool quiet);
 #define fatal(...)                                                        \
     ::dalorex::log_detail::fatalImpl(                                     \
         __FILE__, __LINE__,                                               \
-        ::dalorex::log_detail::composeMessage(__VA_ARGS__))
-
-/** Report a survivable anomaly. */
-#define warn(...)                                                         \
-    ::dalorex::log_detail::warnImpl(                                      \
-        ::dalorex::log_detail::composeMessage(__VA_ARGS__))
-
-/** Report normal operating status. */
-#define inform(...)                                                       \
-    ::dalorex::log_detail::informImpl(                                    \
         ::dalorex::log_detail::composeMessage(__VA_ARGS__))
 
 /** panic() if the given invariant does not hold. */

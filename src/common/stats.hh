@@ -4,8 +4,8 @@
  * metrics and simple histograms.
  *
  * Hot-path counters live as plain struct members in their owning
- * components (e.g., sim::RunStats); this header provides the math used
- * when reducing them for reports.
+ * components (e.g., RunStats); this header provides the row type that
+ * lists them for reports and the math used when reducing them.
  */
 
 #ifndef DALOREX_COMMON_STATS_HH
@@ -16,6 +16,22 @@
 
 namespace dalorex
 {
+
+/**
+ * One report counter of a stats struct `S`: its JSON key and either
+ * the field that counts it or, for a derived value, the member
+ * function that computes it. Each struct that owns report counters
+ * lists them in report order (runCounters, nocCounters, ...), and the
+ * report renderer, the serve payload parser, the NoC shard merge and
+ * the determinism checks loop over those lists.
+ */
+template <typename S>
+struct Counter
+{
+    const char* key;
+    std::uint64_t S::*field = nullptr;
+    double (S::*ratio)() const = nullptr;
+};
 
 /** Arithmetic mean; 0 for an empty vector. */
 double mean(const std::vector<double>& xs);

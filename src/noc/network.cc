@@ -472,14 +472,10 @@ NocStats
 Network::stats() const
 {
     NocStats out;
-    for (const Shard& shard : shards_) {
-        out.messagesInjected += shard.stats.messagesInjected;
-        out.messagesDelivered += shard.stats.messagesDelivered;
-        out.flitHops += shard.stats.flitHops;
-        out.flitWireTiles += shard.stats.flitWireTiles;
-        out.routerPassages += shard.stats.routerPassages;
-        out.deliveryStalls += shard.stats.deliveryStalls;
-    }
+    for (const Shard& shard : shards_)
+        for (const Counter<NocStats>& row : nocCounters)
+            if (row.field != nullptr)
+                out.*row.field += shard.stats.*row.field;
     return out;
 }
 

@@ -85,6 +85,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/stats.hh"
 #include "noc/message.hh"
 #include "noc/topology.hh"
 #include "sim/ownership.hh"
@@ -116,6 +117,16 @@ struct NocStats
     std::uint64_t flitWireTiles = 0;  //!< flit-hops x wire tile-lengths
     std::uint64_t routerPassages = 0; //!< flits crossing a router
     std::uint64_t deliveryStalls = 0; //!< endpoint-backpressure retries
+};
+
+/** The `stats.noc` keys of the report, in report order. */
+inline constexpr Counter<NocStats> nocCounters[] = {
+    {"messages_injected", &NocStats::messagesInjected},
+    {"messages_delivered", &NocStats::messagesDelivered},
+    {"flit_hops", &NocStats::flitHops},
+    {"flit_wire_tiles", &NocStats::flitWireTiles},
+    {"router_passages", &NocStats::routerPassages},
+    {"delivery_stalls", &NocStats::deliveryStalls},
 };
 
 /** Outcome of an injection attempt. */

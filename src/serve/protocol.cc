@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "cli/scenario.hh"
+#include "common/stats.hh"
 #include "energy/model.hh"
 #include "graph/graphfile.hh"
 #include "serve/json.hh"
@@ -344,50 +345,37 @@ parseReportPayload(const std::string& payload,
     out.numEdges = static_cast<EdgeId>(v);
 
     RunStats& s = out.stats;
-    if (!u64At(*stats, "cycles", s.cycles))
-        return false;
-    if (!u64At(*stats, "epochs", v))
-        return false;
-    s.epochs = static_cast<std::uint32_t>(v);
-    if (!u64At(*stats, "invocations", s.invocations) ||
-        !u64At(*stats, "edges_processed", s.edgesProcessed) ||
-        !u64At(*stats, "pu_busy_cycles", s.puBusyCycles) ||
-        !u64At(*stats, "pu_ops", s.puOps) ||
-        !u64At(*stats, "sram_reads", s.sramReads) ||
-        !u64At(*stats, "sram_writes", s.sramWrites) ||
-        !u64At(*stats, "tsu_reads", s.tsuReads) ||
-        !u64At(*stats, "tsu_writes", s.tsuWrites) ||
-        !u64At(*stats, "local_bypass_msgs", s.localBypassMsgs) ||
-        !u64At(*stats, "scratchpad_bytes_total",
-               s.scratchpadBytesTotal) ||
-        !u64At(*stats, "scratchpad_bytes_max", s.scratchpadBytesMax))
-        return false;
+    for (const Counter<RunStats>& row : runCounters)
+        if (row.field != nullptr && !u64At(*stats, row.key, s.*row.field))
+            return false;
 
     const JsonValue* noc = stats->find("noc");
     if (noc == nullptr || !noc->isObject()) {
         err = "report payload misses stats.noc";
         return false;
     }
-    if (!u64At(*noc, "messages_injected", s.noc.messagesInjected) ||
-        !u64At(*noc, "messages_delivered", s.noc.messagesDelivered) ||
-        !u64At(*noc, "flit_hops", s.noc.flitHops) ||
-        !u64At(*noc, "flit_wire_tiles", s.noc.flitWireTiles) ||
-        !u64At(*noc, "router_passages", s.noc.routerPassages) ||
-        !u64At(*noc, "delivery_stalls", s.noc.deliveryStalls))
-        return false;
+    for (const Counter<NocStats>& row : nocCounters)
+        if (row.field != nullptr &&
+            !u64At(*noc, row.key, s.noc.*row.field))
+            return false;
 
     // Older payloads predate the status field; absence means the run
-    // completed (the only status they could report).
-    if (const JsonValue* status = root.find("status");
-        status != nullptr && status->isString()) {
-        if (status->text == "timeout")
-            s.status = RunStatus::timeout;
-        else if (status->text == "cancelled")
-            s.status = RunStatus::cancelled;
-        else if (status->text == "deadlock")
-            s.status = RunStatus::deadlock;
-        else
-            s.status = RunStatus::completed;
+    // completed (the only status they could report). A status this
+    // build does not know is an error, not a finished run.
+    if (const JsonValue* status = root.find("status")) {
+        bool known = false;
+        for (const RunStatus candidate :
+             {RunStatus::completed, RunStatus::timeout,
+              RunStatus::cancelled, RunStatus::deadlock})
+            if (status->isString() &&
+                status->text == toString(candidate)) {
+                s.status = candidate;
+                known = true;
+            }
+        if (!known) {
+            err = "report payload has an unknown status";
+            return false;
+        }
     }
 
     if (const JsonValue* validated = root.find("validated");

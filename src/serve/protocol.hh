@@ -132,9 +132,11 @@ bool extractResultPayload(const std::string& line, std::string& out);
  * Rebuild a cli::Report from a result payload. `submitted` must be
  * the options the request was built from — the report's scenario
  * identity (kernel, machine, seed, labels) comes from it, while the
- * measured facts (dataset name/size, every counter under `stats`,
- * the status and the validated flag) parse out of the payload; its
- * `execution` object is not read. Derived quantities (energy,
+ * measured facts (dataset name/size, every counted row of
+ * runCounters and nocCounters, the status and the validated flag)
+ * parse out of the payload; its `execution` object is not read. A
+ * missing counter or a status this build does not know fails the
+ * parse; a missing status means completed. Derived quantities (energy,
  * seconds, bandwidth, utilization) are recomputed locally from those
  * integers, so a reconstructed report aggregates byte-identically to
  * one produced in-process and renders the same bytes up to its

@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "graph/partition.hh"
 #include "noc/network.hh"
@@ -138,7 +139,7 @@ struct RunStats
     std::string statusDetail;
 
     Cycle cycles = 0;             //!< total runtime incl. idle detect
-    std::uint32_t epochs = 1;     //!< barrier mode: epochs executed
+    std::uint64_t epochs = 1;     //!< barrier mode: epochs executed
     std::uint64_t invocations = 0;
     std::vector<std::uint64_t> invocationsPerTask;
 
@@ -193,6 +194,38 @@ struct RunStats
     {
         return sramReads + sramWrites + tsuReads + tsuWrites;
     }
+};
+
+/** The `stats` keys of the report ahead of `stats.noc`, in report
+ *  order (nocCounters lists the NoC's). */
+inline constexpr Counter<RunStats> runCounters[] = {
+    {"cycles", &RunStats::cycles},
+    {"epochs", &RunStats::epochs},
+    {"invocations", &RunStats::invocations},
+    {"edges_processed", &RunStats::edgesProcessed},
+    {"pu_busy_cycles", &RunStats::puBusyCycles},
+    {"pu_ops", &RunStats::puOps},
+    {"sram_reads", &RunStats::sramReads},
+    {"sram_writes", &RunStats::sramWrites},
+    {"tsu_reads", &RunStats::tsuReads},
+    {"tsu_writes", &RunStats::tsuWrites},
+    {"local_bypass_msgs", &RunStats::localBypassMsgs},
+    {"utilization", nullptr, &RunStats::utilization},
+    {"scratchpad_bytes_total", &RunStats::scratchpadBytesTotal},
+    {"scratchpad_bytes_max", &RunStats::scratchpadBytesMax},
+};
+
+/** The `execution` keys of the report after `engine_threads`, in
+ *  report order: the engine's own work, not architectural. */
+inline constexpr Counter<RunStats> executionCounters[] = {
+    {"stepped_cycles", &RunStats::engineSteppedCycles},
+    {"noc_stepped_cycles", &RunStats::nocSteppedCycles},
+    {"tile_scans", &RunStats::tileScans},
+    {"router_scans", &RunStats::routerScans},
+    {"active_tile_cycles_saved", &RunStats::activeTileCyclesSaved},
+    {"active_router_cycles_saved", &RunStats::activeRouterCyclesSaved},
+    {"tile_scan_occupancy", nullptr, &RunStats::tileScanOccupancy},
+    {"router_scan_occupancy", nullptr, &RunStats::routerScanOccupancy},
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "sweep/aggregate.hh"
 #include "common/text.hh"
+#include "serve/json.hh"
 
 #include <algorithm>
 #include <cctype>
@@ -179,7 +180,8 @@ toJsonl(const std::vector<Row>& rows)
         const std::uint32_t tiles = o.machine.numTiles();
         out << "{"
             << "\"kernel\":\"" << o.kernel->name << "\","
-            << "\"dataset\":\"" << datasetLabel(r) << "\","
+            << "\"dataset\":" << serve::jsonQuote(datasetLabel(r))
+            << ","
             << "\"vertices\":" << r.numVertices << ","
             << "\"edges\":" << r.numEdges << ","
             << "\"width\":" << o.machine.width << ","

@@ -12,9 +12,13 @@
 #include <vector>
 
 #include "cli/cli.hh"
+#include "graph/csr.hh"
 #include "graph/dataset_cache.hh"
 #include "graph/datasets.hh"
 #include "graph/graphfile.hh"
+#include "serve/json.hh"
+#include "serve/protocol.hh"
+#include "sweep/aggregate.hh"
 
 namespace dalorex
 {
@@ -549,6 +553,54 @@ TEST(CliMain, FileDatasetIsByteIdenticalToInMemory)
             << err;
         EXPECT_EQ(mem_out, file_out) << "engine-threads " << threads;
     }
+    std::remove(path.c_str());
+    datasetCacheClear();
+}
+
+TEST(CliMain, QuotedDatasetNameStaysValidJson)
+{
+    // A file: dataset takes its name from the .dlx header, which
+    // `dalorex convert --name` sets to any text. The report, the
+    // payload a serve client rebuilds from it and the sweep JSONL row
+    // must all escape it.
+    datasetCacheClear();
+    const std::string name = "a\"b\\c";
+    const std::string path = testing::TempDir() + "cli_quoted_name.dlx";
+    {
+        Dataset ds;
+        ds.name = name;
+        ds.graph = buildCsr(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+        std::string error;
+        ASSERT_TRUE(saveGraphFile(path, ds, error)) << error;
+    }
+    const std::string file_name = "file:" + path;
+    const std::vector<const char*> args = {
+        "--kernel", "bfs", "--width", "2", "--height", "2",
+        "--dataset", file_name.c_str(), "--json"};
+    std::string out;
+    std::string err;
+    ASSERT_EQ(runCli(args, out, err), 0) << err;
+
+    const serve::JsonParseResult report = serve::parseJson(out);
+    ASSERT_TRUE(report.ok) << report.error << "\n" << out;
+    const serve::JsonValue* dataset = report.value.find("dataset");
+    ASSERT_NE(dataset, nullptr);
+    ASSERT_NE(dataset->find("name"), nullptr);
+    EXPECT_EQ(dataset->find("name")->text, name);
+
+    const ParseResult parsed = parse(args);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    sweep::Row row;
+    ASSERT_TRUE(serve::parseReportPayload(out, parsed.options,
+                                          row.report, err))
+        << err;
+    EXPECT_EQ(row.report.datasetName, name);
+
+    const std::string jsonl = sweep::toJsonl({row});
+    const serve::JsonParseResult line = serve::parseJson(jsonl);
+    ASSERT_TRUE(line.ok) << line.error << "\n" << jsonl;
+    ASSERT_NE(line.value.find("dataset"), nullptr);
+    EXPECT_EQ(line.value.find("dataset")->text, name);
     std::remove(path.c_str());
     datasetCacheClear();
 }

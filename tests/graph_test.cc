@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/logging.hh"
 #include "common/stats.hh"
 #include "graph/csr.hh"
 #include "graph/datasets.hh"
@@ -20,14 +19,6 @@ namespace dalorex
 {
 namespace
 {
-
-class QuietEnv : public ::testing::Environment
-{
-  public:
-    void SetUp() override { setLogQuiet(true); }
-};
-const auto* const quiet_env =
-    ::testing::AddGlobalTestEnvironment(new QuietEnv);
 
 TEST(Csr, BuildSortsAndIndexes)
 {

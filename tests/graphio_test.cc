@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
 #include "graph-convert/graph_convert.hh"
 #include "graph/dataset_cache.hh"
 #include "graph/datasets.hh"
@@ -26,14 +25,6 @@ namespace dalorex
 {
 namespace
 {
-
-class QuietEnv : public ::testing::Environment
-{
-  public:
-    void SetUp() override { setLogQuiet(true); }
-};
-const auto* const quiet_env =
-    ::testing::AddGlobalTestEnvironment(new QuietEnv);
 
 std::string
 tmpPath(const std::string& name)

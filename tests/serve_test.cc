@@ -887,6 +887,51 @@ TEST(ReportReconstruction, RebuiltReportAggregatesIdentically)
               cli::withoutExecution(cli::renderJson(local.report)));
 }
 
+TEST(ReportReconstruction, MissingCounterOrUnknownStatusFails)
+{
+    const cli::Options options = tinyOptions();
+    const cli::RunOutcome local = cli::runScenario(options);
+    ASSERT_TRUE(local.ok) << local.error;
+    const std::string payload = cli::renderJson(local.report);
+    const std::size_t stats_at = payload.find("\"stats\":{");
+    ASSERT_NE(stats_at, std::string::npos);
+
+    // Every counted row is required by name: a payload whose key was
+    // renamed (a daemon of another build) fails instead of reading 0.
+    auto expectMisses = [&](const char* key) {
+        std::string renamed = payload;
+        const std::size_t at =
+            renamed.find("\"" + std::string(key) + "\":", stats_at);
+        ASSERT_NE(at, std::string::npos) << key;
+        renamed.insert(at + 1, "x_");
+        cli::Report rebuilt;
+        std::string err;
+        EXPECT_FALSE(parseReportPayload(renamed, options, rebuilt, err))
+            << key;
+        EXPECT_EQ(err, std::string("report payload misses ") + key);
+    };
+    for (const Counter<RunStats>& row : runCounters)
+        if (row.field != nullptr)
+            expectMisses(row.key);
+    for (const Counter<NocStats>& row : nocCounters)
+        if (row.field != nullptr)
+            expectMisses(row.key);
+
+    // A status this build does not know is not a finished run.
+    const std::string completed = "\"status\":\"completed\"";
+    const std::size_t status_at = payload.find(completed);
+    ASSERT_NE(status_at, std::string::npos);
+    for (const char* status : {"\"status\":\"bogus\"", "\"status\":1"}) {
+        std::string changed = payload;
+        changed.replace(status_at, completed.size(), status);
+        cli::Report rebuilt;
+        std::string err;
+        EXPECT_FALSE(parseReportPayload(changed, options, rebuilt, err))
+            << status;
+        EXPECT_EQ(err, "report payload has an unknown status");
+    }
+}
+
 // --- stdin transport -------------------------------------------------
 
 TEST(ServeCli, StdinTransportAnswersAndDrainsOnShutdown)
