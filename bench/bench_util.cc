@@ -1,12 +1,12 @@
 #include "bench_util.hh"
 
-#include <cmath>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 
 #include "apps/graph_app.hh"
 #include "cli/cli.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/table.hh"
 
 namespace dalorex
@@ -17,6 +17,11 @@ namespace bench
 BenchOptions
 BenchOptions::parse(int argc, char** argv)
 {
+    const std::string program = std::filesystem::path(argv[0]).filename();
+    auto fail = [&program](const std::string& message) {
+        std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
+        std::exit(2);
+    };
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -24,40 +29,27 @@ BenchOptions::parse(int argc, char** argv)
             opts.full = true;
         } else if (arg == "--quick") {
             opts.full = false;
+        } else if ((arg == "--csv" || arg == "--seed") && i + 1 >= argc) {
+            fail(arg + " needs a value");
         } else if (arg == "--csv") {
-            fatal_if(i + 1 >= argc, "--csv needs a directory");
             opts.csvDir = argv[++i];
         } else if (arg == "--seed") {
-            fatal_if(i + 1 >= argc, "--seed needs a value");
-            opts.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--threads") {
-            fatal_if(i + 1 >= argc, "--threads needs a value");
-            std::uint32_t v = 0;
-            fatal_if(!cli::parseU32(argv[++i], 1, 256, v),
-                     "--threads must be an integer in [1, 256], got ",
-                     argv[i]);
-            opts.threads = v;
+            const std::string text = argv[++i];
+            if (!cli::parseU64(text, opts.seed))
+                fail("--seed must be a non-negative integer, got " + text);
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "options:\n"
                 "  --quick      small stand-ins (default)\n"
                 "  --full       paper-scale stand-ins (slower)\n"
                 "  --csv DIR    also write each table as CSV\n"
-                "  --seed N     dataset seed (default 1)\n"
-                "  --threads N  sweep worker threads (default: host "
-                "cores)\n");
+                "  --seed N     dataset seed (default 1)\n");
             std::exit(0);
         } else {
-            fatal("unknown option: ", arg, " (try --help)");
+            fail("unknown option: " + arg + " (try --help)");
         }
     }
     return opts;
-}
-
-unsigned
-BenchOptions::workerThreads() const
-{
-    return threads > 0 ? threads : defaultWorkerThreads();
 }
 
 const char*
@@ -92,12 +84,6 @@ dalorexSteps()
             AblationStep::torusNoc,     AblationStep::dalorexFull};
 }
 
-std::uint64_t
-figProvisionBytes()
-{
-    return static_cast<std::uint64_t>(4.2 * 1024 * 1024);
-}
-
 MachineConfig
 ablationConfig(AblationStep step, std::uint32_t width,
                std::uint32_t height)
@@ -105,7 +91,11 @@ ablationConfig(AblationStep step, std::uint32_t width,
     MachineConfig config;
     config.width = width;
     config.height = height;
-    config.scratchpadProvisionBytes = figProvisionBytes();
+    // The figures' per-tile scratchpad, 4.2MB (Sec. IV-B: "a 16x16
+    // Dalorex grid with 4.2MB of memory per tile"); bench/figures/
+    // spells it --scratchpad-bytes 4404019.
+    config.scratchpadProvisionBytes =
+        static_cast<std::uint64_t>(4.2 * 1024 * 1024);
 
     // Start from the Data-Local point: array chunking and task
     // splitting on the Dalorex fabric, but Tesseract's program flow —

@@ -34,14 +34,10 @@ struct BenchOptions
     std::string csvDir;
     /** Dataset/weight seed. */
     std::uint64_t seed = 1;
-    /** Worker threads for sweep-based drivers (0 = host cores). */
-    unsigned threads = 0;
 
-    /** Parse argv; fatal() on unknown flags. */
+    /** Parse argv; a bad flag or value prints one line, prefixed with
+     *  the program name, and exits 2, as `dalorex` does. */
     static BenchOptions parse(int argc, char** argv);
-
-    /** threads, defaulted to the host core count and clamped >= 1. */
-    unsigned workerThreads() const;
 };
 
 /** The Fig. 5 ablation ladder, left to right. */
@@ -65,12 +61,6 @@ std::vector<AblationStep> dalorexSteps();
 /** MachineConfig realizing one Dalorex ablation step. */
 MachineConfig ablationConfig(AblationStep step, std::uint32_t width,
                              std::uint32_t height);
-
-/**
- * The figure machines' per-tile scratchpad provision: 4.2MB
- * (Sec. IV-B, "a 16x16 Dalorex grid with 4.2MB of memory per tile").
- */
-std::uint64_t figProvisionBytes();
 
 /** One validated Dalorex run with derived energy. */
 struct DalorexRun

@@ -115,8 +115,8 @@ main()
     std::printf("\nNote the trade the two modes make: barrierless "
                 "runs at much higher PU\nutilization but re-explores "
                 "intersections whose distance later improves\n"
-                "(weighted grids have many near-tied paths). "
-                "EXPERIMENTS.md quantifies this\nstaleness tax and "
-                "where each mode wins.\n");
+                "(weighted grids have many near-tied paths).\n"
+                "./build/ablation_barrier measures this staleness tax "
+                "across dataset scales.\n");
     return 0;
 }

@@ -237,9 +237,11 @@ buildAxes()
                          "every N)",
                 .sweep = S::list},
                &MachineConfig::engineThreads, 1, 256),
-        number({.key = "scratchpad_bytes",
+        number({.flag = "--scratchpad-bytes", .key = "scratchpad_bytes",
+                .arg = "N",
                 .usage = "per-tile scratchpad provision in bytes (0 = "
-                         "size to usage)"},
+                         "size to usage)",
+                .sweep = S::one},
                &MachineConfig::scratchpadProvisionBytes, 0,
                std::uint64_t(1) << 40),
         {.flag = "--param", .key = "params", .arg = "K=V,...",

@@ -34,6 +34,21 @@ rowFromId(const std::string& id, std::size_t rows, std::size_t& out)
     return true;
 }
 
+/**
+ * The id of a result line, read from its fixed prefix
+ * {"type":"result","id":"<id>" so a payload that does not parse still
+ * reaches its row; "" when the id is not a plain string.
+ */
+std::string
+resultId(const std::string& line)
+{
+    const std::string prefix = "{\"type\":\"result\",\"id\":\"";
+    const std::size_t end = line.find('"', prefix.size());
+    if (line.rfind(prefix, 0) != 0 || end == std::string::npos)
+        return "";
+    return line.substr(prefix.size(), end - prefix.size());
+}
+
 } // namespace
 
 bool
@@ -104,13 +119,8 @@ runViaSocket(const std::string& socketPath, const std::string& client,
 
         std::string payload;
         if (extractResultPayload(line, payload)) {
-            // The id sits in fixed position: {"type":"result","id":X
-            const JsonParseResult parsed = parseJson(line);
-            const JsonValue* id =
-                parsed.ok ? parsed.value.find("id") : nullptr;
             std::size_t row = 0;
-            if (id == nullptr || !id->isString() ||
-                !rowFromId(id->text, points.size(), row) ||
+            if (!rowFromId(resultId(line), points.size(), row) ||
                 resolved[row])
                 continue; // not ours; ignore
             cli::RunOutcome& outcome = outcomes[row];

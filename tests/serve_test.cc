@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "cli/cli.hh"
@@ -369,7 +370,7 @@ axisSamples()
         {"--invoke-overhead", "50", {}, ""},
         {"--max-cycles", "123456", {}, ""},
         {"--engine-threads", "4", {}, ""},
-        {"scratchpad_bytes", "4096", {}, ""},
+        {"--scratchpad-bytes", "4096", {}, ""},
         {"--param", "damping=0.9,iterations=12", {}, ""},
         {"--seed", "42", {}, ""},
         {"--validate", "true", {}, ""},
@@ -1077,6 +1078,41 @@ TEST(ServeSocket, SweepViaDaemonMatchesLocalSweepByteForByte)
     EXPECT_NE(line.find("\"accepted\""), std::string::npos);
     daemon.join();
     ::close(probe);
+}
+
+TEST(ServeSocket, UnparsableResultPayloadFailsItsRow)
+{
+    // A fake daemon answers the one request with a result whose
+    // report does not parse, then hangs up.
+    const std::string path = "serve_test_bad_payload.sock";
+    std::string err;
+    const int listener = listenUnix(path, err);
+    ASSERT_GE(listener, 0) << err;
+    std::thread daemon([listener] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        LineReader reader(fd);
+        std::string line;
+        if (reader.readLine(line) == ReadStatus::line)
+            sendAll(fd, R"({"type":"result","id":"p0","report":{"stats":}})"
+                        "\n");
+        ::close(fd);
+    });
+
+    std::vector<cli::RunOutcome> outcomes;
+    EXPECT_TRUE(runViaSocket(path, "test", {cli::Options{}}, outcomes,
+                             err))
+        << err;
+    ::shutdown(listener, SHUT_RDWR); // wakes accept() if never reached
+    daemon.join();
+    ::close(listener);
+    ::unlink(path.c_str());
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].ok);
+    EXPECT_NE(outcomes[0].error.find("bad report payload"),
+              std::string::npos)
+        << outcomes[0].error;
 }
 
 // --- fault tolerance: deadlines, oversized lines, journal, drain -----

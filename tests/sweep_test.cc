@@ -2,15 +2,17 @@
  * @file
  * Tests of the sweep orchestrator: grid expansion (cartesian order,
  * axis dedup, edge-case diagnostics), the worker pool, aggregation's
- * derived columns, the JSONL/CSV renderers, and the `dalorex sweep`
- * subcommand end to end.
+ * derived columns, the JSONL/CSV renderers, the `dalorex sweep`
+ * subcommand end to end, and the figure files' sweep lines.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -529,6 +531,42 @@ TEST(SweepParse, RejectsUnknownOptions)
             << err;
         EXPECT_TRUE(out.empty()) << flag;
     }
+}
+
+TEST(FigureFiles, EveryLineParsesAndExpands)
+{
+    // Each figure file holds `dalorex sweep` argument lines for both
+    // scales, so a renamed flag fails here instead of in a figure run.
+    std::size_t files = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(DALOREX_FIGURES_DIR)) {
+        ++files;
+        std::set<std::string> scales;
+        std::ifstream in(entry.path());
+        std::string line;
+        for (int number = 1; std::getline(in, line); ++number) {
+            std::istringstream words(line);
+            std::vector<std::string> args = {"sweep"};
+            for (std::string word; words >> word;)
+                args.push_back(word);
+            if (args.size() == 1 || args[1][0] == '#')
+                continue;
+            SCOPED_TRACE(entry.path().filename().string() + ":" +
+                         std::to_string(number));
+            EXPECT_TRUE(args[1] == "--quick" || args[1] == "--full");
+            scales.insert(args[1]);
+            std::vector<const char*> argv;
+            for (const std::string& arg : args)
+                argv.push_back(arg.c_str());
+            const SweepParseResult parsed = parseSweepArgs(
+                static_cast<int>(argv.size()), argv.data());
+            ASSERT_TRUE(parsed.ok) << parsed.error;
+            const ExpandResult expanded = expand(parsed.options.plan);
+            EXPECT_TRUE(expanded.ok) << expanded.error;
+        }
+        EXPECT_EQ(scales.size(), 2u) << entry.path();
+    }
+    EXPECT_GE(files, 3u);
 }
 
 TEST(SweepMain, EngineThreadsAboveGridTilesRunsClampedWithNote)
