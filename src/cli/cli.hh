@@ -46,11 +46,13 @@ struct Options
     std::uint64_t seed = 1;   //!< dataset/weight seed
     /**
      * Wall-clock budget for the engine run in milliseconds (0 =
-     * none), counted from engine start. The engine reads the clock
-     * itself and notices expiry within 64 stepped cycles, unwinding
-     * at a cycle boundary with RunStatus::timeout instead of the run
-     * hanging or being killed; a budget too large for the clock
-     * means no deadline. A run-control knob, not scenario identity:
+     * none), counted from engine start, so each retry of a sweep row
+     * gets a whole budget (the daemon counts a request's budget from
+     * acceptance instead and runs it with this field zeroed). The
+     * engine reads the clock itself and notices expiry within 64
+     * stepped cycles, unwinding at a cycle boundary with
+     * RunStatus::timeout instead of the run hanging or being killed;
+     * a budget too large for the clock means no deadline. A run-control knob, not scenario identity:
      * it is never rendered into reports, so a completed run's bytes
      * are identical with or without a deadline.
      */

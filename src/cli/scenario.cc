@@ -277,11 +277,14 @@ buildAxes()
         // without one.
         number({.flag = "--deadline-ms", .key = "deadline_ms", .arg = "N",
                 .usage = "wall-clock budget for the engine run (0 = "
-                         "none): the engine reads the clock itself, "
-                         "notices expiry within 64 stepped cycles and "
-                         "unwinds with status \"timeout\" at a cycle "
-                         "boundary; a budget too large for the clock "
-                         "means no deadline",
+                         "none), counted from engine start, so each "
+                         "retry of a sweep row gets a whole budget: the "
+                         "engine reads the clock itself, notices expiry "
+                         "within 64 stepped cycles and unwinds with "
+                         "status \"timeout\" at a cycle boundary; a "
+                         "budget too large for the clock means no "
+                         "deadline",
+                .sweep = S::one,
                 .render = [](const Options& o) -> Text {
                     if (o.deadlineMs == 0)
                         return std::nullopt;

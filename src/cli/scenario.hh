@@ -7,7 +7,7 @@
  * Every front end reads its scenario knobs from this table: the
  * `dalorex` argv parser, the `dalorex sweep` flags, the `dalorex
  * serve` request fields, the serve request renderer (and with it the
- * journals' point hash) and the scenario sections of both --help
+ * sweep journal's point hash) and the scenario sections of both --help
  * texts. A new knob is one row in scenarioAxes(), plus one rule in
  * finishScenario() when it constrains other axes.
  */

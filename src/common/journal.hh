@@ -1,8 +1,11 @@
 /**
  * @file
  * The durable run journal: an append-only, per-record-checksummed
- * JSONL file recording the outcome of every sweep row (and, under
- * `dalorex serve --journal-dir`, every completed request per client).
+ * JSONL file recording the outcome of every sweep row, whether the
+ * row ran in-process or on a `dalorex serve` daemon (`--via`). It is
+ * the only durable record of results: the daemon keeps none, so a
+ * restarted daemon recomputes what it is sent, and a resumed sweep
+ * sends it only the rows its journal lacks.
  *
  * Each line is one self-contained JSON object whose last member is a
  * checksum over the preceding bytes of the line (graphfile's FNV-1a

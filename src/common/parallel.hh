@@ -117,9 +117,9 @@ class PhaseBarrier
  * reading), saturating: a budget too large for steady_clock to
  * represent yields time_point::max(), which every user reads as "no
  * deadline" rather than overflowing std::chrono's arithmetic. Every
- * wall-clock budget goes through it: run deadlines (`--deadline-ms`,
- * `--row-deadline-ms`, a serve request's `deadline_ms`) and retry
- * backoff sleeps.
+ * wall-clock budget goes through it: run deadlines (`--deadline-ms`
+ * from engine start, a serve request's `deadline_ms` from acceptance)
+ * and retry backoff sleeps.
  */
 std::chrono::steady_clock::time_point
 deadlineAfter(std::chrono::steady_clock::time_point start,

@@ -162,11 +162,15 @@ runViaSocket(const std::string& socketPath, const std::string& client,
             continue;
         if (type->text == "error") {
             const JsonValue* message = parsed.value.find("error");
+            const JsonValue* transient = parsed.value.find("transient");
             outcomes[row].ok = false;
             outcomes[row].error =
                 message != nullptr && message->isString()
                     ? message->text
                     : "daemon error";
+            outcomes[row].transient = transient != nullptr &&
+                                      transient->isBool() &&
+                                      transient->boolean;
             resolved[row] = true;
             --remaining;
             if (onRow)

@@ -32,11 +32,13 @@ namespace serve
  * Submit every point to the daemon at `socketPath` under client name
  * `client` and collect per-point outcomes in expansion order. A row
  * the daemon answers with `error` fails only that row, exactly like
- * an in-process run; a `result` whose payload carries a non-completed
- * status (a deadline expiry server-side) also fails its row, with the
- * status as the error. False with `err` on transport-level failures
- * (no daemon, broken socket). A set `cancel` flag (SIGINT) stops
- * waiting; unresolved rows come back as failed with "interrupted".
+ * an in-process run, and keeps the error's "transient" flag in
+ * RunOutcome::transient; a `result` whose payload carries a
+ * non-completed status (a deadline expiry server-side) also fails its
+ * row, with the status as the error. False with `err` on
+ * transport-level failures (no daemon, broken socket). A set `cancel`
+ * flag (SIGINT) stops waiting; unresolved rows come back as failed
+ * with "interrupted".
  *
  * `skip` (may be null/short) masks rows the caller already resolved
  * from its journal — they are neither submitted nor waited for.

@@ -245,10 +245,12 @@ acceptedLine(const std::string& id, std::uint64_t queued)
 }
 
 std::string
-errorLine(const std::string& id, const std::string& error)
+errorLine(const std::string& id, const std::string& error,
+          bool transient)
 {
     return "{\"type\":\"error\",\"id\":" + jsonQuote(id) +
-           ",\"error\":" + jsonQuote(error) + "}\n";
+           ",\"error\":" + jsonQuote(error) +
+           (transient ? ",\"transient\":true}\n" : "}\n");
 }
 
 namespace
@@ -390,10 +392,14 @@ parseReportPayload(const std::string& payload,
 
     // Derive the remaining report fields exactly as runScenario does:
     // identical integers through identical code give identical
-    // doubles, so aggregation downstream is byte-identical.
-    out.energy = dalorexEnergy(s, submitted.machine);
-    out.seconds = runSeconds(s);
-    out.bandwidthBytesPerSec = avgMemoryBandwidth(s);
+    // doubles, so aggregation downstream is byte-identical. A run the
+    // daemon unwound before its first cycle (a deadline that lapsed in
+    // the queue) has no energy to model and keeps them zeroed.
+    if (s.cycles > 0) {
+        out.energy = dalorexEnergy(s, submitted.machine);
+        out.seconds = runSeconds(s);
+        out.bandwidthBytesPerSec = avgMemoryBandwidth(s);
+    }
     return true;
 }
 

@@ -13,6 +13,7 @@
  *   {"type":"accepted","id":...,"queued":N}
  *   {"type":"result","id":...,"report":{...}}   (see below)
  *   {"type":"error","id":...,"error":"one line"}
+ *   {"type":"error","id":...,"error":"one line","transient":true}
  *   {"type":"stats","id":...,"stats":{...}}
  *
  * The `report` payload of a result is the *exact* cli::renderJson
@@ -20,7 +21,10 @@
  * `dalorex --json` run of the same scenario prints — embedded
  * verbatim. extractResultPayload() recovers those bytes, so clients
  * (and CI) can diff serve-backed runs against standalone runs without
- * any re-serialization.
+ * any re-serialization. An `error` for a failed run carries
+ * "transient":true when the failure may pass on a retry (dataset file
+ * I/O), so a `sweep --via` journals the row as retriable, exactly as
+ * a local sweep does; the key is absent otherwise.
  *
  * The scenario fields are the request keys of the axis table in
  * cli/scenario.hh, the table behind the `dalorex` and `dalorex sweep`
@@ -99,9 +103,8 @@ std::string renderRunRequest(const cli::Options& options,
 /**
  * Canonical scenario identity hash: the FNV-1a of the options'
  * renderRunRequest bytes with empty id/client and run-control knobs
- * (deadline_ms) zeroed. The sweep journal keys rows by it and the
- * serve journal keys per-client results by it, so the same scenario
- * hashes identically whether submitted locally, via socket, with or
+ * (deadline_ms) zeroed. The sweep journal keys rows by it, so a row
+ * hashes identically whether it ran locally or via a daemon, with or
  * without a deadline.
  */
 std::uint64_t pointHash(const cli::Options& options);
@@ -111,8 +114,10 @@ std::uint64_t pointHash(const cli::Options& options);
 /** {"type":"accepted","id":...,"queued":N} */
 std::string acceptedLine(const std::string& id, std::uint64_t queued);
 
-/** {"type":"error","id":...,"error":...} */
-std::string errorLine(const std::string& id, const std::string& error);
+/** {"type":"error","id":...,"error":...}, plus "transient":true when
+ *  `transient` is set. */
+std::string errorLine(const std::string& id, const std::string& error,
+                      bool transient = false);
 
 /**
  * {"type":"result","id":...,"report":PAYLOAD} where PAYLOAD is the

@@ -228,12 +228,6 @@ parseServeArgs(int argc, const char* const* argv)
                                         "[1, 256], got ") +
                             argv[i]);
             o.workers = workers;
-        } else if (flag == "--journal-dir") {
-            if (i + 1 >= argc)
-                return fail("--journal-dir needs a path");
-            o.journalDir = argv[++i];
-            if (o.journalDir.empty())
-                return fail("--journal-dir needs a non-empty path");
         } else if (flag == "--retries") {
             if (i + 1 >= argc)
                 return fail("--retries needs a value");
@@ -263,7 +257,9 @@ serveUsageText()
         "cached and mmap'd across requests, and each run's tile queues\n"
         "take host memory only as they fill; result payloads are\n"
         "byte-identical to a standalone `dalorex --json` run of the\n"
-        "same scenario.\n"
+        "same scenario. The daemon keeps no results across restarts:\n"
+        "a `sweep --via` run's own --journal is its durable record,\n"
+        "and its --resume resubmits only the rows missing from it.\n"
         "\n"
         "options:\n"
         "  --socket PATH   listen on a Unix domain socket instead of\n"
@@ -271,10 +267,6 @@ serveUsageText()
         "                  removed on exit)\n"
         "  --workers N     concurrent run slots [1, 256] (default:\n"
         "                  host cores)\n"
-        "  --journal-dir D persist one result journal per client\n"
-        "                  under D; a restarted daemon answers\n"
-        "                  journaled scenarios from disk, so `sweep\n"
-        "                  --via` clients resume without recomputing\n"
         "  --retries N     re-run transiently failing scenarios\n"
         "                  (dataset file I/O) up to N extra times with\n"
         "                  exponential backoff [0, 16] (default: 0)\n"
@@ -285,8 +277,11 @@ serveUsageText()
         "\"dataset\":\"wiki\",\n"
         "   \"width\":8,\"height\":8,...}   scenario fields mirror"
         " the\n"
-        "                                dalorex flags; \"client\","
-        " \"priority\"\n"
+        "                                dalorex flags (a"
+        " \"deadline_ms\"\n"
+        "                                budget counts from"
+        " acceptance);\n"
+        "                                \"client\", \"priority\"\n"
         "                                [-100,100] and \"weight\""
         " (0,1000]\n"
         "                                steer the queue\n"
@@ -304,8 +299,11 @@ serveUsageText()
         "                                `dalorex --json` bytes\n"
         "  {\"type\":\"error\",\"id\":...,\"error\":\"...\"}    bad"
         " request or\n"
-        "                                failed run; the daemon keeps"
-        " serving\n"
+        "                                failed run, with"
+        " \"transient\":true\n"
+        "                                when a retry may succeed;"
+        " the\n"
+        "                                daemon keeps serving\n"
         "  {\"type\":\"stats\",\"id\":...,\"stats\":{...}}\n"
         "\n"
         "examples:\n"
@@ -336,13 +334,6 @@ serveMain(int argc, const char* const* argv, std::istream& in,
     Server server(workers);
     if (o.retries > 0)
         server.setRetries(o.retries);
-    if (!o.journalDir.empty()) {
-        std::string diag;
-        if (!server.enableJournal(o.journalDir, diag)) {
-            err << "dalorex serve: " << diag << "\n";
-            return 2;
-        }
-    }
     SignalGuard signals;
     return o.socketPath.empty()
                ? serveOnStreams(server, in, out)

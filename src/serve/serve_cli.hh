@@ -29,10 +29,6 @@ struct ServeOptions
 {
     std::string socketPath; //!< empty = stdin/stdout transport
     unsigned workers = 0;   //!< concurrent run slots; 0 = host cores
-    /** Per-client result journal directory; empty = no journal. A
-     *  restarted daemon pointed at the same directory answers
-     *  already-journaled scenarios without re-running them. */
-    std::string journalDir;
     /** Extra attempts for transiently failing runs (dataset I/O). */
     unsigned retries = 0;
     bool help = false;

@@ -1,11 +1,7 @@
 #include "serve/server.hh"
 
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 #include <utility>
-
-#include <sys/stat.h>
 
 #include "cli/cli.hh"
 #include "common/parallel.hh"
@@ -16,26 +12,6 @@ namespace dalorex
 {
 namespace serve
 {
-namespace
-{
-
-/** Client names become journal file names; keep them path-safe. */
-std::string
-sanitizeClientName(const std::string& client)
-{
-    std::string out;
-    out.reserve(client.size());
-    for (char c : client) {
-        const bool safe = (c >= 'a' && c <= 'z') ||
-                          (c >= 'A' && c <= 'Z') ||
-                          (c >= '0' && c <= '9') || c == '-' ||
-                          c == '.' || c == '_';
-        out += safe ? c : '_';
-    }
-    return out.empty() ? std::string("_") : out;
-}
-
-} // namespace
 
 Server::Server(unsigned workers)
     : workers_(workers == 0 ? 1 : workers),
@@ -144,103 +120,11 @@ Server::setRetries(unsigned retries, std::uint64_t backoffMs)
     backoffMs_ = backoffMs;
 }
 
-bool
-Server::enableJournal(const std::string& dir, std::string& err)
-{
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-        err = "cannot create journal directory " + dir + ": " +
-              std::strerror(errno);
-        return false;
-    }
-    journalDir_ = dir;
-    return true;
-}
-
-Server::ClientJournal*
-Server::clientJournal(const std::string& client)
-{
-    auto it = journals_.find(client);
-    if (it != journals_.end())
-        return it->second.get();
-
-    auto cj = std::make_unique<ClientJournal>();
-    const std::string path =
-        journalDir_ + "/" + sanitizeClientName(client) + ".journal";
-    // A serve journal has no sweep plan to bind to: plan hash 0 and
-    // point count 0 are its fixed header, and every reopen appends the
-    // same header (replay verifies repeated headers agree).
-    const journal::Replay replayed = journal::replay(path);
-    if (replayed.ok) {
-        for (const journal::Record& r : replayed.records) {
-            if (r.status == journal::RowStatus::ok)
-                cj->payloads[r.pointHash] = r.payload;
-            cj->nextRow = std::max(cj->nextRow, r.row + 1);
-        }
-    }
-    std::string err;
-    cj->writer.open(path, 0, 0, err); // failure: journaling degrades
-                                      // to in-memory for this client
-    ClientJournal* raw = cj.get();
-    journals_.emplace(client, std::move(cj));
-    return raw;
-}
-
-bool
-Server::replayFromJournal(const Job& job, std::uint64_t point)
-{
-    std::string payload;
-    {
-        std::lock_guard<std::mutex> lock(journalMutex_);
-        ClientJournal* cj = clientJournal(job.request.client);
-        const auto hit = cj->payloads.find(point);
-        if (hit == cj->payloads.end())
-            return false;
-        payload = hit->second;
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++completed_;
-        ++journalReplayed_;
-        ++completedPerClient_[job.request.client];
-    }
-    respond(job.connection, resultLine(job.request.id, payload));
-    return true;
-}
-
-void
-Server::recordInJournal(const std::string& client,
-                        std::uint64_t point,
-                        const std::string& payload)
-{
-    bool written = false;
-    {
-        std::lock_guard<std::mutex> lock(journalMutex_);
-        ClientJournal* cj = clientJournal(client);
-        if (cj->payloads.count(point) != 0)
-            return; // a concurrent duplicate already recorded it
-        journal::Record record;
-        record.row = cj->nextRow++;
-        record.pointHash = point;
-        record.status = journal::RowStatus::ok;
-        record.payload = payload;
-        cj->payloads[point] = payload;
-        written = cj->writer.append(record);
-    }
-    if (written) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++journalWritten_;
-    }
-}
-
 void
 Server::workerLoop()
 {
     Job job;
     while (scheduler_.pop(job)) {
-        const std::uint64_t point = pointHash(job.request.options);
-        if (!journalDir_.empty() && replayFromJournal(job, point))
-            continue;
-
         cli::Options options = job.request.options;
         RunControl control;
         if (options.deadlineMs > 0)
@@ -271,47 +155,37 @@ Server::workerLoop()
             }
         }
 
-        if (outcome.status != RunStatus::completed) {
-            // Early-unwound runs still answer with a `result`: the
-            // payload carries status/partial stats, and the requester
-            // decides what a timeout means for it.
-            {
-                std::lock_guard<std::mutex> lock(statsMutex_);
-                if (outcome.status == RunStatus::timeout)
-                    ++timeouts_;
-                else if (outcome.status == RunStatus::cancelled)
-                    ++cancellations_;
-                else
-                    ++failed_;
-            }
-            respond(job.connection,
-                    resultLine(job.request.id,
-                               cli::renderJson(outcome.report)));
-            continue;
-        }
-        if (!outcome.ok) {
+        if (!outcome.ok && outcome.status == RunStatus::completed) {
             {
                 std::lock_guard<std::mutex> lock(statsMutex_);
                 ++failed_;
                 if (!outcome.transient)
                     ++quarantined_;
             }
-            respond(job.connection,
-                    errorLine(job.request.id, outcome.error));
+            respond(job.connection, errorLine(job.request.id,
+                                              outcome.error,
+                                              outcome.transient));
             continue;
         }
-
-        std::string payload = cli::renderJson(outcome.report);
-        while (!payload.empty() && payload.back() == '\n')
-            payload.pop_back();
-        if (!journalDir_.empty())
-            recordInJournal(job.request.client, point, payload);
+        // Early-unwound runs still answer with a `result`: the payload
+        // carries status/partial stats, and the requester decides what
+        // a timeout means for it.
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
-            ++completed_;
-            ++completedPerClient_[job.request.client];
+            if (outcome.ok) {
+                ++completed_;
+                ++completedPerClient_[job.request.client];
+            } else if (outcome.status == RunStatus::timeout) {
+                ++timeouts_;
+            } else if (outcome.status == RunStatus::cancelled) {
+                ++cancellations_;
+            } else {
+                ++failed_;
+            }
         }
-        respond(job.connection, resultLine(job.request.id, payload));
+        respond(job.connection,
+                resultLine(job.request.id,
+                           cli::renderJson(outcome.report)));
     }
 }
 
@@ -362,8 +236,6 @@ Server::statsLine(const std::string& id) const
     std::uint64_t cancellations = 0;
     std::uint64_t retried = 0;
     std::uint64_t quarantined = 0;
-    std::uint64_t journal_written = 0;
-    std::uint64_t journal_replayed = 0;
     std::map<std::string, std::uint64_t> perClient;
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
@@ -374,8 +246,6 @@ Server::statsLine(const std::string& id) const
         cancellations = cancellations_;
         retried = retriedRuns_;
         quarantined = quarantined_;
-        journal_written = journalWritten_;
-        journal_replayed = journalReplayed_;
         perClient = completedPerClient_;
     }
 
@@ -393,9 +263,7 @@ Server::statsLine(const std::string& id) const
         << ",\"fault\":{\"timeouts\":" << timeouts
         << ",\"cancellations\":" << cancellations
         << ",\"retries\":" << retried
-        << ",\"quarantined\":" << quarantined
-        << ",\"journal_written\":" << journal_written
-        << ",\"journal_replayed\":" << journal_replayed << "}"
+        << ",\"quarantined\":" << quarantined << "}"
         << ",\"clients\":[";
     bool first = true;
     for (const ClientStats& c : clients) {

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/journal.hh"
 #include "serve/scheduler.hh"
 #include "sim/machine.hh"
 
@@ -97,17 +96,6 @@ class Server
     void setRetries(unsigned retries, std::uint64_t backoffMs = 250);
 
     /**
-     * Persist a per-client result journal under `dir` (created if
-     * missing): every completed run request appends its verbatim
-     * report payload keyed by the scenario's pointHash(), and a
-     * request whose scenario is already journaled for that client is
-     * answered from the journal without re-running — which is how a
-     * restarted daemon resumes a `--via SOCKET` sweep. False with a
-     * one-line `err` when the directory cannot be created.
-     */
-    bool enableJournal(const std::string& dir, std::string& err);
-
-    /**
      * Answer a line the transport refused to buffer (an unterminated
      * line past the hard cap) with the standard oversized-line error,
      * naming the observed byte count, before the caller drops the
@@ -132,28 +120,6 @@ class Server
     /** Crew-member body: pop + execute until closed and drained. */
     void workerLoop();
 
-    /** One client's durable results (journalMutex_ held). */
-    struct ClientJournal
-    {
-        journal::Writer writer;
-        /** pointHash -> verbatim report payload (no newline). */
-        std::map<std::uint64_t, std::string> payloads;
-        std::uint64_t nextRow = 0;
-    };
-
-    /** The client's journal, loading/creating it on first use.
-     *  journalMutex_ must be held; never null once journaling is on. */
-    ClientJournal* clientJournal(const std::string& client);
-
-    /** Answer from the client's journal if the scenario is recorded.
-     *  True when a result line was sent. */
-    bool replayFromJournal(const Job& job, std::uint64_t point);
-
-    /** Record a completed run in the client's journal. */
-    void recordInJournal(const std::string& client,
-                         std::uint64_t point,
-                         const std::string& payload);
-
     const unsigned workers_;
     const std::chrono::steady_clock::time_point start_;
     FairScheduler scheduler_;
@@ -167,11 +133,6 @@ class Server
     unsigned retries_ = 0;
     std::uint64_t backoffMs_ = 250;
 
-    /** Journal root; empty = journaling off (set before serve()). */
-    std::string journalDir_;
-    std::mutex journalMutex_;
-    std::map<std::string, std::unique_ptr<ClientJournal>> journals_;
-
     mutable std::mutex statsMutex_;
     std::uint64_t rejected_ = 0;  //!< lines answered with `error`
     std::uint64_t completed_ = 0; //!< runs that produced a `result`
@@ -181,8 +142,6 @@ class Server
     std::uint64_t cancellations_ = 0; //!< cancelled-run results
     std::uint64_t retriedRuns_ = 0;   //!< extra attempts performed
     std::uint64_t quarantined_ = 0;   //!< permanent failures answered
-    std::uint64_t journalWritten_ = 0;
-    std::uint64_t journalReplayed_ = 0;
     std::map<std::string, std::uint64_t> completedPerClient_;
 };
 

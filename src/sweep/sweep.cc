@@ -1,6 +1,5 @@
 #include "sweep/sweep.hh"
 
-#include <chrono>
 #include <limits>
 
 #include "common/parallel.hh"
@@ -54,18 +53,14 @@ run(const ExpandResult& expanded, unsigned threads,
             return;
         }
 
-        cli::Options options = expanded.points[i];
-        options.deadlineMs = 0; // the policy's row deadline owns expiry
         unsigned attempts = 0;
         for (;;) {
             ++attempts;
             RunControl control;
             control.cancel = cancel;
-            if (policy.rowDeadlineMs > 0)
-                control.deadline =
-                    deadlineAfter(std::chrono::steady_clock::now(),
-                                  policy.rowDeadlineMs);
-            outcome = cli::runScenario(options, control);
+            // A point's deadlineMs starts anew at each attempt's
+            // engine start.
+            outcome = cli::runScenario(expanded.points[i], control);
             const bool cancelled =
                 outcome.status == RunStatus::cancelled ||
                 (cancel != nullptr && cancel->load());

@@ -49,10 +49,11 @@ struct RunResult
 };
 
 /**
- * Fault policy for one sweep execution: cancellation, per-row
- * deadlines, retry/backoff for transient failures, resume skip mask
- * and a per-row completion hook (the journal writer). The default
- * runs every row once, with no deadline.
+ * Fault policy for one sweep execution: cancellation, retry/backoff
+ * for transient failures, resume skip mask and a per-row completion
+ * hook (the journal writer). The default runs every row once. A row's
+ * wall-clock budget is its point's Options::deadlineMs, counted from
+ * engine start on every attempt.
  */
 struct RunPolicy
 {
@@ -72,9 +73,6 @@ struct RunPolicy
      *  not the cached failure. */
     std::uint64_t backoffMs = 250;
     std::uint64_t seed = 1; //!< jitter seed (determinism, not entropy)
-    /** Per-row wall-clock budget; an expired row unwinds with
-     *  RunStatus::timeout (0 = none). Counted per attempt. */
-    std::uint64_t rowDeadlineMs = 0;
     /** Resume mask: skip[i] true = row i is already resolved and must
      *  not run (the caller prefills outcomes[i]). Empty = run all. */
     std::vector<char> skip;

@@ -137,6 +137,7 @@ parseSweepArgs(int argc, const char* const* argv)
     // a missing one falls through to the error below.
     std::string value;
     std::string missing;
+    std::string retryFlag; // the last retry flag given, if any
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -218,14 +219,12 @@ parseSweepArgs(int argc, const char* const* argv)
                 return fail("--retries must be in [0, 16], got " +
                             value);
             o.retries = retries;
+            retryFlag = flag;
         } else if (flag == "--retry-backoff-ms" && next()) {
             if (!cli::parseU64(value, o.retryBackoffMs))
                 return fail("--retry-backoff-ms must be an integer, "
                             "got " + value);
-        } else if (flag == "--row-deadline-ms" && next()) {
-            if (!cli::parseU64(value, o.rowDeadlineMs))
-                return fail("--row-deadline-ms must be an integer, "
-                            "got " + value);
+            retryFlag = flag;
         } else if (flag == "--json") {
             o.json = true;
         } else if (flag == "--quick") {
@@ -238,6 +237,11 @@ parseSweepArgs(int argc, const char* const* argv)
                             : "unknown option: " + flag + " (try --help)");
         }
     }
+
+    // The daemon runs --via rows under its own retry policy.
+    if (!o.via.empty() && !retryFlag.empty())
+        return fail(retryFlag + " does not apply to --via rows; start "
+                    "the daemon with `dalorex serve --retries N`");
 
     // Listed axes replace the Plan defaults; then defaults that depend
     // on other flags apply once argv is read.
@@ -322,14 +326,11 @@ sweepUsageText()
         cli::usageLine("--retries N",
                        "re-run transiently failing rows (dataset I/O, "
                        "timeouts) up to N extra times [0, 16] (default "
-                       "0)") +
+                       "0); not with --via, whose daemon retries under "
+                       "`dalorex serve --retries`") +
         cli::usageLine("--retry-backoff-ms M",
                        "base backoff before a retry, doubled per attempt "
                        "with deterministic jitter (default 250)") +
-        cli::usageLine("--row-deadline-ms M",
-                       "wall-clock budget per row; expired rows fail with "
-                       "status timeout instead of hanging the sweep "
-                       "(default: none)") +
         cli::usageLine("--json",
                        "print JSON-lines to stdout instead of the table") +
         cli::usageLine("--list-datasets", "list the dataset names and exit") +
@@ -508,13 +509,9 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
             << expanded.points.size() - rows_replayed
             << " scenario points to the daemon at " << o.via << "\n";
         run_result.baseline = expanded.baseline;
-        std::vector<cli::Options> points = expanded.points;
-        if (o.rowDeadlineMs > 0)
-            for (cli::Options& point : points)
-                point.deadlineMs = o.rowDeadlineMs;
         std::string via_error;
         if (!serve::runViaSocket(
-                o.via, "sweep", points, run_result.outcomes,
+                o.via, "sweep", expanded.points, run_result.outcomes,
                 via_error, &interrupted, &skip,
                 [&record_row](std::size_t row,
                               const cli::RunOutcome& outcome) {
@@ -561,7 +558,6 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         policy.retries = o.retries;
         policy.backoffMs = o.retryBackoffMs;
         policy.seed = o.plan.base.seed;
-        policy.rowDeadlineMs = o.rowDeadlineMs;
         policy.skip = skip;
         policy.onRow = record_row;
         run_result = run(expanded, threads, policy);

@@ -41,14 +41,12 @@ struct SweepOptions
      *  not re-run and the merged output is byte-identical to an
      *  uninterrupted sweep ("" = off). */
     std::string resumePath;
-    /** Extra attempts per transiently failing row (I/O, timeout). */
+    /** Extra attempts per transiently failing row (I/O, timeout);
+     *  local rows only, a daemon retries with `serve --retries`. */
     unsigned retries = 0;
     /** Base backoff before a retry; doubles per attempt. Keep above
      *  the dataset cache's negative-entry TTL (200 ms). */
     std::uint64_t retryBackoffMs = 250;
-    /** Per-row wall-clock budget; expired rows fail with status
-     *  timeout instead of hanging the sweep (0 = none). */
-    std::uint64_t rowDeadlineMs = 0;
     bool json = false;     //!< print JSONL to stdout, not the table
     bool quick = true;     //!< stand-in scale for named datasets
     bool help = false;

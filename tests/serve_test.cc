@@ -26,6 +26,7 @@
 
 #include "cli/cli.hh"
 #include "cli/scenario.hh"
+#include "common/journal.hh"
 #include "graph/dataset_cache.hh"
 #include "serve/client.hh"
 #include "serve/json.hh"
@@ -276,8 +277,8 @@ TEST(Protocol, RenderParseRoundTripPreservesScenario)
 }
 
 // renderRunRequest's bytes are pointHash's input: the sweep journal
-// and the serve journal key rows by them, so any change here orphans
-// every journal already written. Pin them literally.
+// keys rows by them, so any change here orphans every journal already
+// written. Pin them literally.
 TEST(Protocol, RenderRunRequestBytesArePinnedForDefaults)
 {
     EXPECT_EQ(
@@ -750,6 +751,7 @@ TEST(ServerCore, BadLinesGetErrorsAndTheDaemonKeepsServing)
     EXPECT_TRUE(capture.findLine("error", "", line)); // garbage
     EXPECT_TRUE(capture.findLine("error", "bad-kernel", line));
     EXPECT_NE(line.find("unknown kernel"), std::string::npos);
+    EXPECT_EQ(line.find("transient"), std::string::npos) << line;
     EXPECT_TRUE(capture.findLine("error", "too-big", line));
     EXPECT_TRUE(capture.findLine("error", "narrow-ruche", line));
     EXPECT_NE(line.find("ruche factor 2"), std::string::npos) << line;
@@ -888,6 +890,29 @@ TEST(ReportReconstruction, RebuiltReportAggregatesIdentically)
               cli::withoutExecution(cli::renderJson(local.report)));
 }
 
+TEST(ReportReconstruction, RunUnwoundBeforeItsFirstCycleParses)
+{
+    // What a daemon answers for a request whose deadline lapsed in its
+    // queue: a timeout at cycle 0. Rebuilding it used to panic in the
+    // energy model and take the whole `sweep --via` process down.
+    const cli::Options options = tinyOptions();
+    RunControl control;
+    control.deadline = std::chrono::steady_clock::now();
+    const cli::RunOutcome local = cli::runScenario(options, control);
+    ASSERT_EQ(local.status, RunStatus::timeout) << local.error;
+    ASSERT_EQ(local.report.stats.cycles, 0u);
+
+    cli::Report rebuilt;
+    std::string err;
+    ASSERT_TRUE(parseReportPayload(cli::renderJson(local.report),
+                                   options, rebuilt, err))
+        << err;
+    EXPECT_EQ(rebuilt.stats.status, RunStatus::timeout);
+    EXPECT_EQ(rebuilt.energy.totalJ(), 0.0);
+    EXPECT_EQ(cli::withoutExecution(cli::renderJson(rebuilt)),
+              cli::withoutExecution(cli::renderJson(local.report)));
+}
+
 TEST(ReportReconstruction, MissingCounterOrUnknownStatusFails)
 {
     const cli::Options options = tinyOptions();
@@ -966,9 +991,16 @@ TEST(ServeCli, UsageAndBadFlagsFailCleanly)
     EXPECT_NE(out.str().find("usage: dalorex serve"),
               std::string::npos);
 
-    const char* bad[] = {"serve", "--bogus"};
-    EXPECT_EQ(serveMain(2, bad, in, out, err), 2);
-    EXPECT_NE(err.str().find("unknown option"), std::string::npos);
+    // The daemon keeps no result journal: the sweep journal is the
+    // durable record.
+    for (const char* flag : {"--bogus", "--journal-dir"}) {
+        std::ostringstream diag;
+        const char* bad[] = {"serve", flag, "dir"};
+        EXPECT_EQ(serveMain(3, bad, in, out, diag), 2) << flag;
+        EXPECT_NE(diag.str().find(std::string("unknown option: ") + flag),
+                  std::string::npos)
+            << diag.str();
+    }
 }
 
 // --- subcommand table ------------------------------------------------
@@ -1026,6 +1058,35 @@ runSweep(const std::vector<std::string>& args, std::string& out)
     return rc;
 }
 
+/** A connection to the daemon at `path` once it listens (up to 5 s);
+ *  -1 with `diag` when it never does. */
+int
+connectWhenListening(const std::string& path, std::string& diag)
+{
+    int fd = -1;
+    for (int i = 0; i < 500 && fd < 0; ++i) {
+        fd = connectUnix(path, diag);
+        if (fd < 0)
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(10));
+    }
+    return fd;
+}
+
+/** Shut the daemon down over its own protocol and join its thread. */
+void
+shutDownDaemon(int probe, std::thread& daemon)
+{
+    ASSERT_TRUE(sendAll(probe,
+                        "{\"type\":\"shutdown\",\"id\":\"q\"}\n"));
+    LineReader reader(probe);
+    std::string line;
+    ASSERT_EQ(reader.readLine(line), ReadStatus::line);
+    EXPECT_NE(line.find("\"accepted\""), std::string::npos);
+    daemon.join();
+    ::close(probe);
+}
+
 TEST(ServeSocket, SweepViaDaemonMatchesLocalSweepByteForByte)
 {
     const std::string path = "serve_test_e2e.sock";
@@ -1037,15 +1098,8 @@ TEST(ServeSocket, SweepViaDaemonMatchesLocalSweepByteForByte)
                               "--workers", "2"};
         serveMain(5, argv, in, out, err);
     });
-    // Wait for the daemon to listen (connectUnix succeeds).
-    int probe = -1;
     std::string diag;
-    for (int i = 0; i < 500 && probe < 0; ++i) {
-        probe = connectUnix(path, diag);
-        if (probe < 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-    }
+    const int probe = connectWhenListening(path, diag);
     ASSERT_GE(probe, 0) << diag;
 
     const std::vector<std::string> grid = {
@@ -1068,16 +1122,55 @@ TEST(ServeSocket, SweepViaDaemonMatchesLocalSweepByteForByte)
     EXPECT_EQ(rows(viaOut), rows(localOut));
     EXPECT_NE(viaOut.find("{\"type\":\"summary\""),
               std::string::npos);
+    shutDownDaemon(probe, daemon);
+}
 
-    // Shut the daemon down over its own protocol.
-    ASSERT_TRUE(sendAll(probe,
-                        "{\"type\":\"shutdown\",\"id\":\"q\"}\n"));
-    LineReader reader(probe);
-    std::string line;
-    ASSERT_EQ(reader.readLine(line), ReadStatus::line);
-    EXPECT_NE(line.find("\"accepted\""), std::string::npos);
-    daemon.join();
-    ::close(probe);
+TEST(ServeSocket, MissingFileRowJournalsFailedLocallyAndViaDaemon)
+{
+    // A missing file: dataset fails transiently wherever its row runs.
+    // The daemon's error line says so, so the --via journal records
+    // the row `failed` (re-run on resume) as the local one does, and
+    // neither summary counts it as quarantined.
+    const std::string path = "serve_test_transient.sock";
+    std::istringstream in;
+    std::ostringstream out;
+    std::ostringstream err;
+    std::thread daemon([&] {
+        const char* argv[] = {"serve", "--socket", path.c_str(),
+                              "--workers", "1"};
+        serveMain(5, argv, in, out, err);
+    });
+    std::string diag;
+    const int probe = connectWhenListening(path, diag);
+    ASSERT_GE(probe, 0) << diag;
+
+    for (const bool via : {false, true}) {
+        SCOPED_TRACE(via ? "via" : "local");
+        datasetCacheClear();
+        const std::string journal_path =
+            ::testing::TempDir() + "serve_test_transient.journal";
+        std::remove(journal_path.c_str());
+        std::vector<std::string> args = {
+            "--kernel", "bfs", "--grid-size", "2x2", "--dataset",
+            "file:serve_test_no_such.dlx", "--threads", "1", "--json",
+            "--journal", journal_path};
+        if (via)
+            args.insert(args.end(), {"--via", path});
+        std::string summary;
+        EXPECT_EQ(runSweep(args, summary), 1);
+        EXPECT_NE(summary.find("\"rows_quarantined\":0"),
+                  std::string::npos)
+            << summary;
+        // EXPECTs only: the daemon thread must still be joined below.
+        const journal::Replay replayed = journal::replay(journal_path);
+        EXPECT_TRUE(replayed.ok) << replayed.error;
+        EXPECT_EQ(replayed.records.size(), 1u);
+        for (const journal::Record& record : replayed.records)
+            EXPECT_EQ(record.status, journal::RowStatus::failed);
+        std::remove(journal_path.c_str());
+    }
+    datasetCacheClear();
+    shutDownDaemon(probe, daemon);
 }
 
 TEST(ServeSocket, UnparsableResultPayloadFailsItsRow)
@@ -1115,7 +1208,7 @@ TEST(ServeSocket, UnparsableResultPayloadFailsItsRow)
         << outcomes[0].error;
 }
 
-// --- fault tolerance: deadlines, oversized lines, journal, drain -----
+// --- fault tolerance: deadlines, oversized lines, retries, drain ----
 
 TEST(Protocol, OversizedLineReportsObservedBytesAndLimit)
 {
@@ -1140,8 +1233,8 @@ TEST(Protocol, DeadlineMsRoundTripsButIsNotScenarioIdentity)
     EXPECT_NE(rendered.find("\"deadline_ms\":250"),
               std::string::npos);
 
-    // The run-control budget must not change which cached/journaled
-    // result a scenario maps to.
+    // The run-control budget must not change which journaled row a
+    // scenario maps to.
     cli::Options bare = p.request.options;
     bare.deadlineMs = 0;
     EXPECT_EQ(pointHash(p.request.options), pointHash(bare));
@@ -1219,9 +1312,12 @@ TEST(ServerCore, StatsReportFaultCounters)
     EXPECT_NE(line.find("\"fault\":{"), std::string::npos) << line;
     EXPECT_NE(line.find("\"timeouts\":1"), std::string::npos) << line;
     for (const char* key :
-         {"\"cancellations\":", "\"retries\":", "\"quarantined\":",
-          "\"journal_written\":", "\"journal_replayed\":"})
+         {"\"cancellations\":", "\"retries\":", "\"quarantined\":"})
         EXPECT_NE(line.find(key), std::string::npos) << key;
+    // The daemon keeps no result journal, so it counts none.
+    for (const char* key :
+         {"\"journal_written\":", "\"journal_replayed\":"})
+        EXPECT_EQ(line.find(key), std::string::npos) << key;
     datasetCacheClear();
 }
 
@@ -1287,6 +1383,8 @@ TEST(ServerCore, TransientFailureIsRetriedThenAnsweredAsError)
     ASSERT_TRUE(capture.findLine("error", "missing", line));
     EXPECT_NE(line.find("serve_test_no_such.dlx"), std::string::npos)
         << line;
+    EXPECT_NE(line.find("\"transient\":true"), std::string::npos)
+        << line;
     server.handleLine(conn, R"({"type":"stats","id":"st"})");
     ASSERT_TRUE(capture.findLine("stats", "st", line));
     EXPECT_NE(line.find("\"retries\":2"), std::string::npos) << line;
@@ -1319,62 +1417,6 @@ TEST(ServerCore, ShutdownDuringRetryBackoffAnswersAtOnce)
     datasetCacheClear();
 }
 
-TEST(ServerCore, JournalDirReplaysAcrossDaemonRestart)
-{
-    // Two Server instances sharing a --journal-dir model a daemon
-    // restart: the second answers an already-journaled scenario from
-    // disk, byte-identically, without re-running it.
-    datasetCacheClear();
-    const std::string dir =
-        ::testing::TempDir() + "serve_journal_dir";
-    std::remove((dir + "/_.journal").c_str());
-
-    std::string first_payload;
-    {
-        Server server(1);
-        std::string diag;
-        ASSERT_TRUE(server.enableJournal(dir, diag)) << diag;
-        Capture capture;
-        const std::uint64_t conn =
-            server.openConnection(capture.sink());
-        server.handleLine(conn, runLine("gen1"));
-        server.requestShutdown();
-        server.serve();
-        std::string line;
-        ASSERT_TRUE(capture.findLine("result", "gen1", line));
-        ASSERT_TRUE(extractResultPayload(line, first_payload));
-    }
-    datasetCacheClear(); // the restarted daemon starts cold
-    {
-        Server server(1);
-        std::string diag;
-        ASSERT_TRUE(server.enableJournal(dir, diag)) << diag;
-        Capture capture;
-        const std::uint64_t conn =
-            server.openConnection(capture.sink());
-        server.handleLine(conn, runLine("gen2"));
-        server.requestShutdown();
-        server.serve();
-        std::string line;
-        ASSERT_TRUE(capture.findLine("result", "gen2", line));
-        std::string payload;
-        ASSERT_TRUE(extractResultPayload(line, payload));
-        EXPECT_EQ(payload, first_payload);
-
-        // Replay is visible in the fault counters, and the dataset
-        // cache shows the run was not recomputed.
-        server.handleLine(conn, "{\"type\":\"stats\",\"id\":\"s\"}");
-        ASSERT_TRUE(capture.findLine("stats", "s", line));
-        EXPECT_NE(line.find("\"journal_replayed\":1"),
-                  std::string::npos)
-            << line;
-        EXPECT_EQ(datasetCacheStats().builds, 0u)
-            << "replayed run must not touch the dataset cache";
-    }
-    std::remove((dir + "/_.journal").c_str());
-    datasetCacheClear();
-}
-
 TEST(ServeSocket, SigtermDrainsAcceptedWorkBeforeExit)
 {
     // kill -TERM on a busy daemon: every accepted request still gets
@@ -1390,14 +1432,8 @@ TEST(ServeSocket, SigtermDrainsAcceptedWorkBeforeExit)
                               "--workers", "1"};
         rc = serveMain(5, argv, in, out, err);
     });
-    int fd = -1;
     std::string diag;
-    for (int i = 0; i < 500 && fd < 0; ++i) {
-        fd = connectUnix(path, diag);
-        if (fd < 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-    }
+    const int fd = connectWhenListening(path, diag);
     ASSERT_GE(fd, 0) << diag;
 
     ASSERT_TRUE(sendAll(fd, runLine("drain-1") + "\n"));

@@ -522,7 +522,7 @@ TEST(SweepParse, RejectsUnknownOptions)
     // Removed flags are unknown, not silently accepted.
     for (const char* flag :
          {"--frobnicate", "--engine-barrier", "--engine-rebalance",
-          "--engine-scan", "--pagerank-iters"}) {
+          "--engine-scan", "--pagerank-iters", "--row-deadline-ms"}) {
         std::string out;
         std::string err;
         EXPECT_EQ(runSweep({flag}, out, err), 2) << flag;
@@ -737,7 +737,7 @@ TEST(SweepMain, HelpCoversTheNewFlags)
     for (const char* flag :
          {"--threads", "--list-datasets", "--grid-size", "--baseline",
           "--barrier", "--journal", "--resume", "--retries",
-          "--row-deadline-ms"})
+          "--deadline-ms"})
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
@@ -758,7 +758,7 @@ TEST(SweepParse, FaultToleranceFlags)
         "sweep",     "--journal",          "j.jsonl",
         "--resume",  "old.jsonl",          "--retries",
         "2",         "--retry-backoff-ms", "5",
-        "--row-deadline-ms", "750"};
+        "--deadline-ms", "750"};
     const SweepParseResult parsed =
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
@@ -766,12 +766,31 @@ TEST(SweepParse, FaultToleranceFlags)
     EXPECT_EQ(parsed.options.resumePath, "old.jsonl");
     EXPECT_EQ(parsed.options.retries, 2u);
     EXPECT_EQ(parsed.options.retryBackoffMs, 5u);
-    EXPECT_EQ(parsed.options.rowDeadlineMs, 750u);
+    EXPECT_EQ(parsed.options.plan.base.deadlineMs, 750u);
 
     std::string out;
     std::string err;
     EXPECT_EQ(runSweep({"--retries", "99"}, out, err), 2);
     EXPECT_NE(err.find("--retries"), std::string::npos);
+}
+
+TEST(SweepParse, ViaRefusesRetryFlags)
+{
+    // A daemon retries --via rows under its own policy, so the sweep
+    // refuses its retry flags beside --via, in either order, before
+    // any row is submitted.
+    for (const std::vector<const char*>& args :
+         std::vector<std::vector<const char*>>{
+             {"--via", "no_daemon.sock", "--retries", "1"},
+             {"--retry-backoff-ms", "5", "--via", "no_daemon.sock"}}) {
+        std::string out;
+        std::string err;
+        EXPECT_EQ(runSweep(args, out, err), 2) << args[0];
+        EXPECT_NE(err.find("serve --retries"), std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("[sweep]"), std::string::npos) << err;
+        EXPECT_TRUE(out.empty()) << out;
+    }
 }
 
 TEST(SweepFault, RowBudgetTooLargeForTheClockMeansNoDeadline)
@@ -790,7 +809,7 @@ TEST(SweepFault, RowBudgetTooLargeForTheClockMeansNoDeadline)
     datasetCacheClear();
     EXPECT_EQ(runSweep({"--kernel", "bfs", "--grid-size", "2x2",
                         "--scale", "8", "--threads", "1", "--json",
-                        "--row-deadline-ms", "18446744073709551615"},
+                        "--deadline-ms", "18446744073709551615"},
                        out, err),
               0)
         << err;
@@ -919,6 +938,42 @@ TEST(SweepFault, TransientRowsRetryThenFailWithAttemptsJournaled)
     EXPECT_EQ(replayed.records[0].attempts, 3u) << "1 try + 2 retries";
     std::remove(path.c_str());
     datasetCacheSetNegativeTtlMs(200);
+    datasetCacheClear();
+}
+
+TEST(SweepFault, TimedOutRowRetriesWithAFreshBudget)
+{
+    // A local row's --deadline-ms counts from each attempt's engine
+    // start. The row takes seconds, so both attempts time out; a
+    // budget carried over from the first attempt would expire at the
+    // retry's first clock read, at cycle 0, while a fresh one lasts
+    // past the next read, 64 stepped cycles later.
+    datasetCacheClear();
+    const std::string path =
+        testing::TempDir() + "sweep_fault_deadline.journal";
+    std::remove(path.c_str());
+    std::string out;
+    std::string err;
+    const int code = runSweep(
+        {"--kernel", "pagerank", "--grid-size", "2x2", "--scale", "10",
+         "--param", "iterations=300", "--threads", "1",
+         "--deadline-ms", "20", "--retries", "1",
+         "--retry-backoff-ms", "1", "--journal", path.c_str()},
+        out, err);
+    EXPECT_EQ(code, 1) << err;
+    const journal::Replay replayed = journal::replay(path);
+    ASSERT_TRUE(replayed.ok) << replayed.error;
+    ASSERT_EQ(replayed.records.size(), 1u);
+    const journal::Record& record = replayed.records[0];
+    EXPECT_EQ(record.status, journal::RowStatus::failed);
+    EXPECT_EQ(record.attempts, 2u) << "1 try + 1 retry";
+    const std::string expired = "deadline expired at cycle ";
+    const std::size_t at = record.error.find(expired);
+    ASSERT_NE(at, std::string::npos) << record.error;
+    EXPECT_GE(std::stoull(record.error.substr(at + expired.size())),
+              64u)
+        << record.error;
+    std::remove(path.c_str());
     datasetCacheClear();
 }
 

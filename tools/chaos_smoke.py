@@ -12,10 +12,14 @@ Phase 1 — journaled sweep vs kill -9:
      rather than recomputed ("resumed K of N" matches the journal).
 
 Phase 2 — daemon kill under `sweep --via`:
-  5. start `dalorex serve --journal-dir`, point the same sweep at it
-     with --via + --journal, and SIGKILL the daemon mid-plan;
-  6. restart the daemon on the same journal dir, resume the sweep;
-  7. assert the final JSONL is byte-identical to the reference.
+  5. start `dalorex serve`, point the same sweep at it with --via +
+     --journal, and SIGKILL the daemon mid-plan;
+  6. restart the daemon and resume the sweep from its journal;
+  7. assert the final JSONL is byte-identical to the reference and
+     that every row the sweep journaled was replayed, not resubmitted.
+
+The daemon keeps no results across restarts: the sweep journal is
+the one durable record, and it carries the daemon-kill resume too.
 """
 
 import argparse
@@ -69,6 +73,16 @@ def wait_for_ok_row(journal, proc, deadline_seconds=120.0):
     return False
 
 
+def expect_replayed(stderr, done_rows):
+    """A resume replayed exactly the journal's completed rows."""
+    match = re.search(r"resumed (\d+) of (\d+) rows", stderr)
+    if match is None:
+        sys.exit("chaos_smoke: resume reported nothing:\n" + stderr)
+    if int(match.group(1)) != done_rows:
+        sys.exit(f"chaos_smoke: {done_rows} rows were journaled but "
+                 f"{match.group(1)} replayed — rows were recomputed")
+
+
 def expect_same_bytes(what, reference, candidate):
     if read_file(reference) != read_file(candidate):
         sys.exit(f"chaos_smoke: {what} differ: "
@@ -116,13 +130,7 @@ def phase1_local_kill(dalorex, work):
                    ["--resume", torn_journal]),
         check=True, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True)
-    match = re.search(r"resumed (\d+) of (\d+) rows", resume.stderr)
-    if match is None:
-        sys.exit("chaos_smoke: resume reported nothing:\n"
-                 + resume.stderr)
-    if int(match.group(1)) != done_rows:
-        sys.exit(f"chaos_smoke: {done_rows} rows were journaled but "
-                 f"{match.group(1)} replayed — rows were recomputed")
+    expect_replayed(resume.stderr, done_rows)
     expect_same_bytes("phase-1 JSONL rows", ref_jsonl, resumed_jsonl)
     expect_same_bytes("phase-1 CSV", ref_csv, resumed_csv)
     return ref_jsonl
@@ -145,10 +153,9 @@ def accepts_connections(sock):
         probe.close()
 
 
-def start_daemon(dalorex, sock, journal_dir):
+def start_daemon(dalorex, sock):
     proc = subprocess.Popen(
-        [dalorex, "serve", "--socket", sock, "--workers", "1",
-         "--journal-dir", journal_dir],
+        [dalorex, "serve", "--socket", sock, "--workers", "1"],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 15.0
     while time.monotonic() < deadline:
@@ -163,8 +170,7 @@ def start_daemon(dalorex, sock, journal_dir):
 
 def phase2_daemon_kill(dalorex, work, ref_jsonl):
     sock = os.path.join(work, "chaos.sock")
-    journal_dir = os.path.join(work, "daemon-journals")
-    daemon = start_daemon(dalorex, sock, journal_dir)
+    daemon = start_daemon(dalorex, sock)
 
     via_journal = os.path.join(work, "via.journal")
     client = subprocess.Popen(
@@ -184,13 +190,15 @@ def phase2_daemon_kill(dalorex, work, ref_jsonl):
     print(f"chaos_smoke: SIGKILLed daemon after {done_rows} "
           "client-journaled rows")
 
-    daemon = start_daemon(dalorex, sock, journal_dir)
+    daemon = start_daemon(dalorex, sock)
     final_jsonl = os.path.join(work, "final.jsonl")
-    subprocess.run(
+    resume = subprocess.run(
         sweep_args(dalorex, os.path.join(work, "final.journal"),
                    final_jsonl, os.path.join(work, "final.csv"),
                    ["--via", sock, "--resume", via_journal]),
-        check=True, stdout=subprocess.DEVNULL)
+        check=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    expect_replayed(resume.stderr, done_rows)
     daemon.send_signal(signal.SIGTERM)
     if daemon.wait(timeout=60) != 0:
         sys.exit("chaos_smoke: restarted daemon exited nonzero")
