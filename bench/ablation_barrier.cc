@@ -19,6 +19,8 @@
  */
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/table.hh"
@@ -34,6 +36,23 @@ main(int argc, char** argv)
     std::vector<unsigned> scales = {14, 16};
     if (opts.full)
         scales.push_back(18);
+    // One table row per (kernel, scale): its synchronized cell, then
+    // its barrierless one.
+    std::vector<cli::Options> cells;
+    for (const char* kernel : {"bfs", "sssp", "wcc"}) {
+        for (const unsigned scale : scales) {
+            for (const bool barrier : {true, false}) {
+                cli::Options cell = ablationCell(opts);
+                cell.kernel = kernelOrDie(kernel);
+                cell.dataset = "amazon";
+                cell.datasetScale = scale;
+                cell.machine.barrier = barrier;
+                cells.push_back(std::move(cell));
+            }
+        }
+    }
+    const std::vector<cli::Report> reports =
+        runCells(opts, std::move(cells));
 
     std::printf("Barrierless vs epoch-synchronized execution, "
                 "16x16 grid\n\n");
@@ -41,42 +60,27 @@ main(int argc, char** argv)
     Table table({"kernel", "scale", "verts/tile", "sync cyc",
                  "async cyc", "async speedup", "sync edges",
                  "async edges", "work ratio"});
-
-    for (const char* kernel_name : {"bfs", "sssp", "wcc"}) {
-        const KernelInfo* kernel = kernelOrDie(kernel_name);
-        for (const unsigned scale : scales) {
-            const Dataset ds = makeDatasetAt("amazon", scale,
-                                             opts.seed);
-            const KernelSetup setup =
-                makeKernelSetup(*kernel, ds.graph, opts.seed);
-
-            MachineConfig sync_config =
-                ablationConfig(AblationStep::dalorexFull, 16, 16);
-            sync_config.barrier = true;
-            const DalorexRun sync = runDalorex(setup, sync_config);
-
-            const MachineConfig async_config =
-                ablationConfig(AblationStep::dalorexFull, 16, 16);
-            const DalorexRun async = runDalorex(setup, async_config);
-
-            table.addRow(
-                {kernel->display, std::to_string(scale),
-                 std::to_string(ds.graph.numVertices / 256),
-                 std::to_string(sync.stats.cycles),
-                 std::to_string(async.stats.cycles),
-                 Table::fmt(double(sync.stats.cycles) /
-                                double(async.stats.cycles),
-                            3),
-                 std::to_string(sync.stats.edgesProcessed),
-                 std::to_string(async.stats.edgesProcessed),
-                 Table::fmt(double(async.stats.edgesProcessed) /
-                                double(sync.stats.edgesProcessed),
-                            3)});
-        }
+    for (std::size_t i = 0; i < reports.size(); i += 2) {
+        const cli::Report& sync = reports[i];
+        const cli::Report& async = reports[i + 1];
+        table.addRow(
+            {sync.options.kernel->display,
+             std::to_string(sync.options.datasetScale),
+             std::to_string(sync.numVertices / 256),
+             std::to_string(sync.stats.cycles),
+             std::to_string(async.stats.cycles),
+             Table::fmt(double(sync.stats.cycles) /
+                            double(async.stats.cycles),
+                        3),
+             std::to_string(sync.stats.edgesProcessed),
+             std::to_string(async.stats.edgesProcessed),
+             Table::fmt(double(async.stats.edgesProcessed) /
+                            double(sync.stats.edgesProcessed),
+                        3)});
     }
 
     table.print();
-    sweep::writeCsvIfEnabled(opts.csvDir, table, "ablation_barrier");
+    opts.writeCsv(table, "ablation_barrier");
     std::printf(
         "\nasync speedup > 1: barrier removal wins. The work ratio\n"
         "(async/sync edges) is the staleness tax of asynchronous\n"

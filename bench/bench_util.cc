@@ -4,10 +4,14 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "apps/graph_app.hh"
-#include "cli/cli.hh"
+#include <unistd.h>
+
+#include "baseline/tesseract.hh"
+#include "cli/scenario.hh"
 #include "common/logging.hh"
-#include "common/table.hh"
+#include "common/parallel.hh"
+#include "graph/datasets.hh"
+#include "sweep/sweep.hh"
 
 namespace dalorex
 {
@@ -17,12 +21,8 @@ namespace bench
 BenchOptions
 BenchOptions::parse(int argc, char** argv)
 {
-    const std::string program = std::filesystem::path(argv[0]).filename();
-    auto fail = [&program](const std::string& message) {
-        std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
-        std::exit(2);
-    };
     BenchOptions opts;
+    opts.program = std::filesystem::path(argv[0]).filename();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--full") {
@@ -30,13 +30,22 @@ BenchOptions::parse(int argc, char** argv)
         } else if (arg == "--quick") {
             opts.full = false;
         } else if ((arg == "--csv" || arg == "--seed") && i + 1 >= argc) {
-            fail(arg + " needs a value");
+            opts.fail(arg + " needs a value", 2);
         } else if (arg == "--csv") {
             opts.csvDir = argv[++i];
+            // Checked now, so a bad directory fails before any cell runs.
+            std::error_code ec;
+            if (!std::filesystem::is_directory(opts.csvDir, ec) ||
+                ::access(opts.csvDir.c_str(), W_OK) != 0)
+                opts.fail("--csv needs a writable directory, got " +
+                              opts.csvDir,
+                          2);
         } else if (arg == "--seed") {
             const std::string text = argv[++i];
             if (!cli::parseU64(text, opts.seed))
-                fail("--seed must be a non-negative integer, got " + text);
+                opts.fail("--seed must be a non-negative integer, got " +
+                              text,
+                          2);
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "options:\n"
@@ -46,10 +55,24 @@ BenchOptions::parse(int argc, char** argv)
                 "  --seed N     dataset seed (default 1)\n");
             std::exit(0);
         } else {
-            fail("unknown option: " + arg + " (try --help)");
+            opts.fail("unknown option: " + arg + " (try --help)", 2);
         }
     }
     return opts;
+}
+
+void
+BenchOptions::writeCsv(const Table& table, const std::string& name) const
+{
+    if (!csvDir.empty())
+        table.writeCsv(csvDir + "/" + name + ".csv");
+}
+
+void
+BenchOptions::fail(const std::string& message, int code) const
+{
+    std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
+    std::exit(code);
 }
 
 const char*
@@ -76,21 +99,14 @@ toString(AblationStep step)
     return "?";
 }
 
-std::vector<AblationStep>
-dalorexSteps()
+cli::Options
+ablationCell(const BenchOptions& opts, AblationStep step)
 {
-    return {AblationStep::dataLocal,    AblationStep::basicTsu,
-            AblationStep::uniformDistr, AblationStep::trafficAware,
-            AblationStep::torusNoc,     AblationStep::dalorexFull};
-}
-
-MachineConfig
-ablationConfig(AblationStep step, std::uint32_t width,
-               std::uint32_t height)
-{
-    MachineConfig config;
-    config.width = width;
-    config.height = height;
+    cli::Options cell;
+    cell.seed = opts.seed;
+    MachineConfig& config = cell.machine;
+    config.width = 16;
+    config.height = 16;
     // The figures' per-tile scratchpad, 4.2MB (Sec. IV-B: "a 16x16
     // Dalorex grid with 4.2MB of memory per tile"); bench/figures/
     // spells it --scratchpad-bytes 4404019.
@@ -138,64 +154,59 @@ ablationConfig(AblationStep step, std::uint32_t width,
       default:
         panic("not a Dalorex ablation step: ", toString(step));
     }
-    return config;
+    return cell;
 }
 
-DalorexRun
-runDalorex(const KernelSetup& setup, const MachineConfig& config)
+std::vector<cli::Report>
+runCells(const BenchOptions& opts, std::vector<cli::Options> cells)
 {
-    auto app = setup.makeApp();
-    Machine machine(config, setup.graph.numVertices,
-                    setup.graph.numEdges);
-    DalorexRun run;
-    run.stats = machine.run(*app);
-    const ValidationResult valid = validateRun(setup, *app, machine);
-    fatal_if(!valid, valid.detail);
-    run.energy = dalorexEnergy(run.stats, config);
-    run.seconds = runSeconds(run.stats);
-    run.joules = run.energy.totalJ();
-    return run;
+    sweep::ExpandResult batch;
+    for (cli::Options& cell : cells) {
+        cell.validate = true;
+        const cli::ScenarioCheck check = cli::finishScenario(cell);
+        if (!check.ok)
+            opts.fail(check.error);
+        batch.points.push_back(std::move(cell));
+    }
+    const unsigned threads = defaultWorkerThreads();
+    std::fprintf(stderr, "[%s] %zu cells on %u worker threads\n",
+                 opts.program.c_str(), batch.points.size(), threads);
+    const sweep::RunResult result = sweep::run(batch, threads);
+    const std::vector<std::string> errors = result.rowErrors();
+    if (!errors.empty())
+        opts.fail(errors.front());
+    return result.okReports();
 }
 
-BaselineRun
-runTesseractBaseline(const KernelSetup& setup, bool large_cache)
+RunCost
+runTesseractBaseline(const BenchOptions& opts, const KernelSetup& setup,
+                     bool large_cache)
 {
     baseline::TesseractConfig config;
     config.largeCache = large_cache;
-    BaselineRun run;
-    run.result = baseline::runTesseract(setup, config);
+    const baseline::TesseractResult result =
+        baseline::runTesseract(setup, config);
     const ValidationResult valid =
-        setup.floatResult()
-            ? validateFloats(setup, run.result.floatValues)
-            : validateWords(setup, run.result.values);
-    fatal_if(!valid, valid.detail);
-    run.seconds =
-        static_cast<double>(run.result.cycles) / TechParams{}.freqHz;
-    run.joules = run.result.energyJ(config);
-    return run;
+        setup.floatResult() ? validateFloats(setup, result.floatValues)
+                            : validateWords(setup, result.values);
+    if (!valid)
+        opts.fail("Tesseract " + setup.kernel->name + ": " +
+                  valid.detail);
+    return {static_cast<double>(result.cycles) / TechParams{}.freqHz,
+            result.energyJ(config)};
 }
 
-std::vector<Dataset>
+std::vector<FigDataset>
 figDatasets(const BenchOptions& opts)
 {
-    std::vector<Dataset> datasets;
-    if (opts.full) {
-        datasets.push_back(makeDatasetAt("amazon", 18, opts.seed));
-        datasets.push_back(makeDatasetAt("wiki", 18, opts.seed));
-        datasets.push_back(makeDatasetAt("livejournal", 18,
-                                         opts.seed));
-        Dataset rmat = makeDataset("rmat18", opts.seed);
-        rmat.name = "R22s"; // scaled stand-in for the paper's RMAT-22
-        datasets.push_back(std::move(rmat));
-    } else {
-        for (const char* name : {"amazon", "wiki", "livejournal"})
-            datasets.push_back(makeDatasetAt(
-                name, defaultQuickScale(name), opts.seed));
-        Dataset rmat = makeDataset("rmat13", opts.seed);
-        rmat.name = "R22s";
-        datasets.push_back(std::move(rmat));
-    }
-    return datasets;
+    auto stand_in = [&opts](const char* label, const char* name) {
+        return FigDataset{
+            label, {name, opts.full ? 18u : defaultQuickScale(name)}};
+    };
+    // R22s: a scaled stand-in for the paper's RMAT-22.
+    return {stand_in("AZ", "amazon"), stand_in("WK", "wiki"),
+            stand_in("LJ", "livejournal"),
+            {"R22s", {opts.full ? "rmat18" : "rmat13", 0}}};
 }
 
 } // namespace bench

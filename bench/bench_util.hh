@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared plumbing for the figure-reproduction benches: option parsing,
- * the Fig. 5 ablation ladder, dataset sets at quick/full scale, and
- * validated run helpers for both the Dalorex engine and the Tesseract
- * baseline.
+ * the Fig. 5 ablation ladder, the figure dataset set, and the one run
+ * path every bench's Dalorex cells take: scenario points run in one
+ * batch on the sweep pool, plus the validated Tesseract baseline.
  */
 
 #ifndef DALOREX_BENCH_BENCH_UTIL_HH
@@ -13,12 +13,9 @@
 #include <vector>
 
 #include "apps/kernels.hh"
-#include "baseline/tesseract.hh"
+#include "cli/cli.hh"
 #include "common/table.hh"
-#include "energy/model.hh"
-#include "graph/datasets.hh"
-#include "sim/machine.hh"
-#include "sweep/aggregate.hh"
+#include "sweep/plan.hh"
 
 namespace dalorex
 {
@@ -28,6 +25,8 @@ namespace bench
 /** Command-line options shared by every bench. */
 struct BenchOptions
 {
+    /** Program name, the prefix of every one-line error. */
+    std::string program;
     /** Paper-scale stand-ins (slower); default is quick scale. */
     bool full = false;
     /** Directory for CSV mirrors of each printed table ("" = off). */
@@ -35,9 +34,15 @@ struct BenchOptions
     /** Dataset/weight seed. */
     std::uint64_t seed = 1;
 
-    /** Parse argv; a bad flag or value prints one line, prefixed with
-     *  the program name, and exits 2, as `dalorex` does. */
+    /** Parse argv; a bad flag or value (an unwritable --csv DIR too)
+     *  fails with exit code 2, as `dalorex` does. */
     static BenchOptions parse(int argc, char** argv);
+
+    /** Write `table` as `csvDir/name.csv` when --csv was given. */
+    void writeCsv(const Table& table, const std::string& name) const;
+
+    /** Print `program: message` on stderr and exit with `code`. */
+    [[noreturn]] void fail(const std::string& message, int code = 1) const;
 };
 
 /** The Fig. 5 ablation ladder, left to right. */
@@ -55,47 +60,42 @@ enum class AblationStep
 
 const char* toString(AblationStep step);
 
-/** The six Dalorex-engine steps (tesseract* run on the baseline). */
-std::vector<AblationStep> dalorexSteps();
+/** A cell with the bench's seed on the 16x16 machine of a Dalorex
+ *  ablation step; the bench sets its kernel, dataset and knobs. */
+cli::Options ablationCell(const BenchOptions& opts,
+                          AblationStep step = AblationStep::dalorexFull);
 
-/** MachineConfig realizing one Dalorex ablation step. */
-MachineConfig ablationConfig(AblationStep step, std::uint32_t width,
-                             std::uint32_t height);
+/** Run the cells, validated, in one batch on the sweep pool (one
+ *  worker per host core); reports come back in cell order. A cell
+ *  that fails fails the bench with one line. */
+std::vector<cli::Report> runCells(const BenchOptions& opts,
+                                  std::vector<cli::Options> cells);
 
-/** One validated Dalorex run with derived energy. */
-struct DalorexRun
+/** What one run took. */
+struct RunCost
 {
-    RunStats stats;
-    EnergyBreakdown energy;
     double seconds = 0.0;
     double joules = 0.0;
 };
 
-/**
- * Run `setup` on a machine with `config`; validates the kernel output
- * against the sequential reference (fatal on mismatch).
- */
-DalorexRun runDalorex(const KernelSetup& setup,
-                      const MachineConfig& config);
+/** Run `setup` on the Tesseract model; a result that does not
+ *  validate fails the bench with one line. */
+RunCost runTesseractBaseline(const BenchOptions& opts,
+                             const KernelSetup& setup, bool large_cache);
 
-/** One validated Tesseract-baseline run. */
-struct BaselineRun
+/** One dataset of the figure set: its table label and what to run. */
+struct FigDataset
 {
-    baseline::TesseractResult result;
-    double seconds = 0.0;
-    double joules = 0.0;
+    std::string label;       //!< AZ, WK, LJ, R22s
+    sweep::DatasetSpec spec; //!< name and stand-in scale
 };
 
-/** Run `setup` on the Tesseract model (validated). */
-BaselineRun runTesseractBaseline(const KernelSetup& setup,
-                                 bool large_cache);
-
 /**
- * The Fig. 5/8/9 dataset set: AZ, WK, LJ and the RMAT entry (the
+ * The Fig. 5/8 dataset set: AZ, WK, LJ and the RMAT entry (the
  * paper's R22). Quick scale uses 2^14..2^15-vertex stand-ins; full
  * scale uses the 2^18 stand-ins (README "Modelling substitutions").
  */
-std::vector<Dataset> figDatasets(const BenchOptions& opts);
+std::vector<FigDataset> figDatasets(const BenchOptions& opts);
 
 } // namespace bench
 } // namespace dalorex

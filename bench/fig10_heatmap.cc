@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -61,7 +62,7 @@ printHeatmap(const BenchOptions& opts, const char* title,
     std::printf("  mean %.1f%%, peak %.1f%% "
                 "(scale: ' '=0-10%% ... '@'=90-100%%)\n\n",
                 sum / (width * height), peak);
-    sweep::writeCsvIfEnabled(opts.csvDir, csv, csv_name);
+    opts.writeCsv(csv, csv_name);
 }
 
 } // namespace
@@ -71,23 +72,25 @@ main(int argc, char** argv)
 {
     const BenchOptions opts = BenchOptions::parse(argc, argv);
 
-    const Dataset ds =
-        makeDataset(opts.full ? "rmat18" : "rmat16", opts.seed);
-    const KernelSetup setup =
-        makeKernelSetup("sssp", ds.graph, opts.seed);
     const std::uint32_t side = 16;
+    std::vector<cli::Options> cells;
+    for (const NocTopology topology :
+         {NocTopology::mesh, NocTopology::torus}) {
+        cli::Options cell = ablationCell(opts);
+        cell.kernel = kernelOrDie("sssp");
+        cell.dataset = opts.full ? "rmat18" : "rmat16";
+        cell.machine.topology = topology;
+        cells.push_back(std::move(cell));
+    }
+    const std::vector<cli::Report> reports =
+        runCells(opts, std::move(cells));
 
     std::printf("Fig. 10: PU and router utilization heatmaps, SSSP "
                 "on %s (R22 stand-in), %ux%u\n\n",
-                ds.name.c_str(), side, side);
+                reports.front().datasetName.c_str(), side, side);
 
-    for (const NocTopology topology :
-         {NocTopology::mesh, NocTopology::torus}) {
-        MachineConfig config =
-            ablationConfig(AblationStep::dalorexFull, side, side);
-        config.topology = topology;
-        const DalorexRun run = runDalorex(setup, config);
-        const std::string tag = toString(topology);
+    for (const cli::Report& run : reports) {
+        const std::string tag = toString(run.options.machine.topology);
         std::printf("== %s: %llu cycles ==\n", tag.c_str(),
                     static_cast<unsigned long long>(run.stats.cycles));
         printHeatmap(opts, "PU utilization (% of runtime)",

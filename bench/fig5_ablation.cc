@@ -14,10 +14,12 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 
 #include "bench_util.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "graph/dataset_cache.hh"
 
 using namespace dalorex;
 using namespace dalorex::bench;
@@ -25,24 +27,15 @@ using namespace dalorex::bench;
 namespace
 {
 
-struct CellResult
-{
-    double seconds = 0.0;
-    double joules = 0.0;
-};
-
 /** results[step][dataset] for one kernel. */
-using Ladder = std::map<AblationStep, std::vector<CellResult>>;
+using Ladder = std::map<AblationStep, std::vector<RunCost>>;
 
-std::vector<AblationStep>
-allSteps()
-{
-    std::vector<AblationStep> steps = {AblationStep::tesseract,
-                                       AblationStep::tesseractLc};
-    for (AblationStep step : dalorexSteps())
-        steps.push_back(step);
-    return steps;
-}
+/** The ladder, left to right. */
+constexpr AblationStep ladderSteps[] = {
+    AblationStep::tesseract,    AblationStep::tesseractLc,
+    AblationStep::dataLocal,    AblationStep::basicTsu,
+    AblationStep::uniformDistr, AblationStep::trafficAware,
+    AblationStep::torusNoc,     AblationStep::dalorexFull};
 
 } // namespace
 
@@ -50,7 +43,7 @@ int
 main(int argc, char** argv)
 {
     const BenchOptions opts = BenchOptions::parse(argc, argv);
-    const std::vector<Dataset> datasets = figDatasets(opts);
+    const std::vector<FigDataset> datasets = figDatasets(opts);
     // The paper's Fig. 5 kernels lead; the "fig5-extra" kernels
     // (k-core, histogram — no Tesseract model exists for them)
     // follow with an explicit Dalorex-only ladder — normalized to
@@ -61,18 +54,49 @@ main(int argc, char** argv)
          KernelRegistry::instance().tagged("fig5-extra")) {
         kernels.push_back(kernel);
     }
+    // PageRank epochs (bench budget), on both machines.
+    const std::vector<ParamOverride> params = {{"iterations", 5}};
 
     std::printf("Fig. 5: improvement over Tesseract, 256 cores "
                 "(%s scale)\n"
                 "Kernels without a Tesseract model are reported "
                 "Dalorex-only,\nnormalized to the Data-Local step.\n\n",
                 opts.full ? "full" : "quick");
-    for (const Dataset& ds : datasets) {
-        std::printf("  %-5s %s (V=%u, E=%u)\n", ds.name.c_str(),
-                    ds.provenance.c_str(), ds.graph.numVertices,
-                    ds.graph.numEdges);
+    // The Tesseract baseline's graphs; the Dalorex cells share them
+    // through the same cache.
+    std::vector<std::shared_ptr<const Dataset>> graphs;
+    for (const FigDataset& ds : datasets) {
+        const CachedDataset cached =
+            datasetCacheGet(ds.spec.name, ds.spec.scale, opts.seed);
+        if (!cached.ok)
+            opts.fail(cached.error);
+        std::printf("  %-5s %s (V=%u, E=%u)\n", ds.label.c_str(),
+                    cached.dataset->provenance.c_str(),
+                    cached.dataset->graph.numVertices,
+                    cached.dataset->graph.numEdges);
+        graphs.push_back(cached.dataset);
     }
     std::printf("\n");
+
+    // Every Dalorex cell, kernel x dataset x step, in one batch.
+    std::vector<cli::Options> cells;
+    for (const KernelInfo* kernel : kernels) {
+        for (const FigDataset& ds : datasets) {
+            for (const AblationStep step : ladderSteps) {
+                if (step < AblationStep::dataLocal)
+                    continue; // Tesseract's steps
+                cli::Options cell = ablationCell(opts, step);
+                cell.kernel = kernel;
+                cell.dataset = ds.spec.name;
+                cell.datasetScale = ds.spec.scale;
+                cell.params = params;
+                cells.push_back(std::move(cell));
+            }
+        }
+    }
+    const std::vector<cli::Report> reports =
+        runCells(opts, std::move(cells));
+    auto report = reports.begin(); // the next cell's, in cell order
 
     // Geomean accumulators across (kernel, dataset) for the summary.
     std::map<AblationStep, std::vector<double>> perf_gains;
@@ -82,34 +106,30 @@ main(int argc, char** argv)
         const bool has_tesseract =
             kernel->traits.tesseract != TesseractModel::none;
         Ladder ladder;
-        for (const Dataset& ds : datasets) {
-            std::fprintf(stderr, "[fig5] %s on %s...\n",
-                         kernel->display.c_str(), ds.name.c_str());
-            KernelSetup setup =
-                makeKernelSetup(*kernel, ds.graph, opts.seed);
-            setup.iterations = 5; // PageRank epochs (bench budget)
+        for (const std::shared_ptr<const Dataset>& graph : graphs) {
             if (has_tesseract) {
                 // HMC baseline and its large-cache variant.
-                const BaselineRun base =
-                    runTesseractBaseline(setup, false);
-                const BaselineRun lc =
-                    runTesseractBaseline(setup, true);
+                KernelSetup setup =
+                    makeKernelSetup(*kernel, graph->graph, opts.seed);
+                applyParamOverrides(setup, params);
                 ladder[AblationStep::tesseract].push_back(
-                    {base.seconds, base.joules});
+                    runTesseractBaseline(opts, setup, false));
                 ladder[AblationStep::tesseractLc].push_back(
-                    {lc.seconds, lc.joules});
+                    runTesseractBaseline(opts, setup, true));
             }
             // The six Dalorex-engine steps.
-            for (const AblationStep step : dalorexSteps()) {
-                const DalorexRun run =
-                    runDalorex(setup, ablationConfig(step, 16, 16));
-                ladder[step].push_back({run.seconds, run.joules});
+            for (const AblationStep step : ladderSteps) {
+                if (step < AblationStep::dataLocal)
+                    continue;
+                ladder[step].push_back(
+                    {report->seconds, report->energy.totalJ()});
+                ++report;
             }
         }
 
         std::vector<std::string> headers = {"config"};
-        for (const Dataset& ds : datasets)
-            headers.push_back(ds.name);
+        for (const FigDataset& ds : datasets)
+            headers.push_back(ds.label);
         Table perf(headers);
         Table energy(headers);
         // Dalorex-only kernels normalize to the ladder's first
@@ -117,7 +137,7 @@ main(int argc, char** argv)
         const auto& base = has_tesseract
                                ? ladder[AblationStep::tesseract]
                                : ladder[AblationStep::dataLocal];
-        for (const AblationStep step : allSteps()) {
+        for (const AblationStep step : ladderSteps) {
             std::vector<std::string> prow = {toString(step)};
             std::vector<std::string> erow = {toString(step)};
             const bool have_row = ladder.count(step) > 0;
@@ -151,15 +171,11 @@ main(int argc, char** argv)
         std::printf("== %s: performance %s (higher is better) ==\n",
                     kernel->display.c_str(), vs);
         perf.print();
-        sweep::writeCsvIfEnabled(
-            opts.csvDir, perf,
-            "fig5_perf_" + kernel->name);
+        opts.writeCsv(perf, "fig5_perf_" + kernel->name);
         std::printf("\n== %s: energy %s (higher is better) ==\n",
                     kernel->display.c_str(), vs);
         energy.print();
-        sweep::writeCsvIfEnabled(
-            opts.csvDir, energy,
-            "fig5_energy_" + kernel->name);
+        opts.writeCsv(energy, "fig5_energy_" + kernel->name);
         std::printf("\n");
     }
 
@@ -209,6 +225,6 @@ main(int argc, char** argv)
     }
     std::printf("== Sec. V-A in-text geomean ladder ==\n");
     summary.print();
-    sweep::writeCsvIfEnabled(opts.csvDir, summary, "fig5_summary");
+    opts.writeCsv(summary, "fig5_summary");
     return 0;
 }

@@ -10,6 +10,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -18,23 +20,6 @@
 using namespace dalorex;
 using namespace dalorex::bench;
 
-namespace
-{
-
-double
-runCycles(const KernelSetup& setup, std::uint32_t side,
-          NocTopology topology, std::uint32_t ruche)
-{
-    MachineConfig config =
-        ablationConfig(AblationStep::dalorexFull, side, side);
-    config.topology = topology;
-    config.rucheFactor = ruche;
-    const DalorexRun run = runDalorex(setup, config);
-    return static_cast<double>(run.stats.cycles);
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 {
@@ -42,11 +27,9 @@ main(int argc, char** argv)
 
     // Paper: WK, LJ, R22 on 16x16; RMAT-26 on 64x64. The large-grid
     // entry scales to 32x32 (64x64 with --full).
-    std::vector<Dataset> datasets = figDatasets(opts);
+    std::vector<FigDataset> datasets = figDatasets(opts);
     datasets.erase(datasets.begin()); // drop AZ (not in Fig. 8)
-    Dataset big = makeDataset(opts.full ? "rmat17" : "rmat15",
-                              opts.seed);
-    big.name = "R26s";
+    datasets.push_back({"R26s", {opts.full ? "rmat17" : "rmat15", 0}});
     const std::uint32_t big_side = opts.full ? 64 : 32;
     const std::uint32_t small_side = 16;
 
@@ -54,36 +37,55 @@ main(int argc, char** argv)
                 "(%s scale)\n",
                 opts.full ? "full" : "quick");
     std::printf("Datasets on %ux%u; %s on %ux%u\n\n", small_side,
-                small_side, big.name.c_str(), big_side, big_side);
+                small_side, datasets.back().label.c_str(), big_side,
+                big_side);
+
+    // One table row per (kernel, dataset): its mesh, torus and
+    // torus-ruche cells. The first three datasets run on the small
+    // grid with ruche channels that hop 2 tiles, R26s on the large
+    // grid hopping 4.
+    const NocTopology topologies[] = {
+        NocTopology::mesh, NocTopology::torus, NocTopology::torusRuche};
+    std::vector<cli::Options> cells;
+    std::vector<std::string> row_datasets; // each row's dataset label
+    for (const KernelInfo* kernel : paperKernels()) {
+        for (const FigDataset& ds : datasets) {
+            const bool big = &ds == &datasets.back();
+            row_datasets.push_back(ds.label);
+            for (const NocTopology topology : topologies) {
+                cli::Options cell = ablationCell(opts);
+                cell.kernel = kernel;
+                cell.dataset = ds.spec.name;
+                cell.datasetScale = ds.spec.scale;
+                cell.params = {{"iterations", 5}}; // PageRank budget
+                cell.machine.width = cell.machine.height =
+                    big ? big_side : small_side;
+                cell.machine.topology = topology;
+                cell.machine.rucheFactor = big ? 4 : 2;
+                cells.push_back(std::move(cell));
+            }
+        }
+    }
+    const std::vector<cli::Report> reports =
+        runCells(opts, std::move(cells));
 
     Table table({"kernel", "dataset", "tiles", "mesh cyc",
                  "torus x", "torus-ruche x"});
-
-    for (const KernelInfo* kernel : paperKernels()) {
-        auto run_row = [&](const Dataset& ds, std::uint32_t side) {
-            KernelSetup setup =
-                makeKernelSetup(*kernel, ds.graph, opts.seed);
-            setup.iterations = 5;
-            const std::uint32_t ruche = side >= 32 ? 4 : 2;
-            const double mesh =
-                runCycles(setup, side, NocTopology::mesh, 0);
-            const double torus =
-                runCycles(setup, side, NocTopology::torus, 0);
-            const double torus_ruche = runCycles(
-                setup, side, NocTopology::torusRuche, ruche);
-            table.addRow({kernel->display, ds.name,
-                          std::to_string(side * side),
-                          Table::fmt(mesh, 0),
-                          Table::fmt(mesh / torus, 2),
-                          Table::fmt(mesh / torus_ruche, 2)});
-        };
-        for (const Dataset& ds : datasets)
-            run_row(ds, small_side);
-        run_row(big, big_side);
+    for (std::size_t row = 0; row < row_datasets.size(); ++row) {
+        const cli::Report& mesh = reports[row * 3];
+        const double cycles[3] = {
+            double(mesh.stats.cycles),
+            double(reports[row * 3 + 1].stats.cycles),
+            double(reports[row * 3 + 2].stats.cycles)};
+        table.addRow({mesh.options.kernel->display, row_datasets[row],
+                      std::to_string(mesh.options.machine.numTiles()),
+                      Table::fmt(cycles[0], 0),
+                      Table::fmt(cycles[0] / cycles[1], 2),
+                      Table::fmt(cycles[0] / cycles[2], 2)});
     }
 
     table.print();
-    sweep::writeCsvIfEnabled(opts.csvDir, table, "fig8_noc");
+    opts.writeCsv(table, "fig8_noc");
     std::printf("\nExpected shape: torus ~2x mesh on 16x16; ruche "
                 "only helps on the large grid.\n");
     return 0;

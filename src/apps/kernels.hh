@@ -120,8 +120,8 @@ ValidationResult validateFloatsWithSlack(const KernelSetup& setup,
 
 /**
  * Gather the app's result from `machine` (words or floats per the
- * kernel's trait) and validate it. Shared by the CLI, the sweep
- * orchestrator, the figure benches and the test matrices.
+ * kernel's trait) and validate it. Shared by cli::runScenario (the
+ * run path of the CLI, sweep, serve and the benches) and the tests.
  */
 ValidationResult validateRun(const KernelSetup& setup,
                              GraphAppBase& app, Machine& machine);

@@ -1,8 +1,5 @@
 #include "serve/client.hh"
 
-#include <thread>
-
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "serve/json.hh"
@@ -61,18 +58,16 @@ runViaSocket(const std::string& socketPath, const std::string& client,
                                       const cli::RunOutcome&)>& onRow)
 {
     outcomes.assign(points.size(), cli::RunOutcome{});
-    auto masked = [skip](std::size_t i) {
-        return skip != nullptr && i < skip->size() &&
-               (*skip)[i] != 0;
-    };
-    std::vector<bool> resolved(points.size(), false);
-    std::size_t remaining = 0;
+    // The rows to submit, in order; the caller's journal owns the rest.
+    std::vector<std::size_t> rows;
+    std::vector<bool> resolved(points.size(), true);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (masked(i))
-            resolved[i] = true; // the caller's journal owns this row
-        else
-            ++remaining;
+        if (skip == nullptr || i >= skip->size() || (*skip)[i] == 0) {
+            rows.push_back(i);
+            resolved[i] = false;
+        }
     }
+    std::size_t remaining = rows.size();
     if (remaining == 0)
         return true;
 
@@ -80,26 +75,35 @@ runViaSocket(const std::string& socketPath, const std::string& client,
     if (fd < 0)
         return false;
 
-    // Writer on its own thread: with every request written before
-    // any response is read, a big grid could fill both socket
-    // buffers and deadlock client and daemon against each other.
-    std::thread writer([&points, &client, fd, &masked] {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (masked(i))
-                continue;
-            const std::string line =
-                renderRunRequest(points[i], "p" + std::to_string(i),
-                                 client) +
-                "\n";
-            if (!sendAll(fd, line))
-                return; // reader sees the broken socket too
+    // The daemon counts a row's deadline from acceptance, so keep at
+    // most one row unanswered per daemon worker (its `stats` answer
+    // says how many): no row waits in its queue behind this sweep's
+    // own rows, and the socket buffers cannot fill. A row's successor
+    // goes out as soon as its answer is read, before the answer is
+    // parsed and recorded. Sends go unchecked, as a broken socket
+    // shows in the reads below.
+    std::size_t window = 0;
+    std::size_t sent = 0;
+    auto topUp = [&] {
+        for (; sent < rows.size() &&
+               sent - (rows.size() - remaining) < window;
+             ++sent) {
+            sendAll(fd, renderRunRequest(points[rows[sent]],
+                                         "p" + std::to_string(rows[sent]),
+                                         client) +
+                            "\n");
         }
-    });
+    };
+    // True while `row` is sent and unanswered (rows ascend).
+    auto awaited = [&](std::size_t row) {
+        return !resolved[row] && (sent == rows.size() || row < rows[sent]);
+    };
+    sendAll(fd, "{\"type\":\"stats\",\"id\":\"w\"}\n");
     bool transportOk = true;
     bool interrupted = false;
     LineReader reader(fd);
     std::string line;
-    while (remaining > 0) {
+    while (transportOk && remaining > 0) {
         const ReadStatus status = reader.readLine(line);
         if (status == ReadStatus::interrupted) {
             if (cancel != nullptr && cancel->load()) {
@@ -121,8 +125,11 @@ runViaSocket(const std::string& socketPath, const std::string& client,
         if (extractResultPayload(line, payload)) {
             std::size_t row = 0;
             if (!rowFromId(resultId(line), points.size(), row) ||
-                resolved[row])
+                !awaited(row))
                 continue; // not ours; ignore
+            resolved[row] = true;
+            --remaining;
+            topUp();
             cli::RunOutcome& outcome = outcomes[row];
             std::string perr;
             if (!parseReportPayload(payload, points[row],
@@ -142,8 +149,6 @@ runViaSocket(const std::string& socketPath, const std::string& client,
                     std::string(toString(outcome.status)) +
                     ": daemon run unwound early";
             }
-            resolved[row] = true;
-            --remaining;
             if (onRow)
                 onRow(row, outcome);
             continue;
@@ -157,10 +162,28 @@ runViaSocket(const std::string& socketPath, const std::string& client,
         if (type == nullptr || !type->isString() || id == nullptr ||
             !id->isString())
             continue;
+        if (id->text == "w") { // the answer to the stats request
+            const JsonValue* stats = parsed.value.find("stats");
+            const JsonValue* workers =
+                stats != nullptr ? stats->find("workers") : nullptr;
+            std::uint64_t n = 0;
+            if (type->text != "stats" || workers == nullptr ||
+                !workers->asU64(n) || n == 0) {
+                transportOk = false;
+                err = "daemon answered its stats request without a "
+                      "worker count";
+            }
+            window = static_cast<std::size_t>(n);
+            topUp();
+            continue;
+        }
         std::size_t row = 0;
-        if (!rowFromId(id->text, points.size(), row) || resolved[row])
+        if (!rowFromId(id->text, points.size(), row) || !awaited(row))
             continue;
         if (type->text == "error") {
+            resolved[row] = true;
+            --remaining;
+            topUp();
             const JsonValue* message = parsed.value.find("error");
             const JsonValue* transient = parsed.value.find("transient");
             outcomes[row].ok = false;
@@ -171,18 +194,12 @@ runViaSocket(const std::string& socketPath, const std::string& client,
             outcomes[row].transient = transient != nullptr &&
                                       transient->isBool() &&
                                       transient->boolean;
-            resolved[row] = true;
-            --remaining;
             if (onRow)
                 onRow(row, outcomes[row]);
         }
         // "accepted" lines carry no outcome; skip.
     }
 
-    // Unblock the writer if it is still pushing requests nobody will
-    // answer (interrupt / broken transport).
-    ::shutdown(fd, SHUT_RDWR);
-    writer.join();
     ::close(fd);
 
     if (interrupted) {

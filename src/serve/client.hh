@@ -4,8 +4,12 @@
  * points to a `dalorex serve` daemon over its Unix socket and rebuild
  * cli::RunOutcomes from the streamed responses.
  *
- * Each point is one run request (id "p<index>"); responses may arrive
- * in any order and land in their expansion-order slot, so everything
+ * Each point is one run request (id "p<index>"). The client keeps at
+ * most one row unanswered per daemon worker, as the daemon's `stats`
+ * answer counts them, and sends the next as each answer arrives: the
+ * daemon counts a row's deadline from acceptance, so no row waits in
+ * its queue behind the same sweep's rows. Responses may arrive in any
+ * order and land in their expansion-order slot, so everything
  * downstream (aggregation, tables, JSONL) is byte-identical to an
  * in-process sweep of the same plan — the daemon's result payloads
  * are the exact renderJson bytes, and the derived quantities are

@@ -94,10 +94,10 @@ struct MachineConfig
     Cycle maxCycles = 0;
     /**
      * Fabrication-time scratchpad capacity per tile in bytes; 0 sizes
-     * tiles to their actual usage (the Fig. 6 energy study). The
-     * Fig. 5 16x16 comparison provisions 4.2MB per tile (Sec. IV-B),
-     * which sets SRAM leakage and the tile side length (NoC wire
-     * energy) regardless of dataset footprint.
+     * each tile to its actual usage. The figure files and the C++
+     * benches provision 4.2MB per tile (Sec. IV-B), which sets SRAM
+     * leakage and the tile side length (NoC wire energy) regardless
+     * of dataset footprint.
      */
     std::uint64_t scratchpadProvisionBytes = 0;
 

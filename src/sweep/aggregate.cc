@@ -245,14 +245,5 @@ toJsonl(const std::vector<Row>& rows)
     return out.str();
 }
 
-void
-writeCsvIfEnabled(const std::string& dir, const Table& table,
-                  const std::string& name)
-{
-    if (dir.empty())
-        return;
-    table.writeCsv(dir + "/" + name + ".csv");
-}
-
 } // namespace sweep
 } // namespace dalorex

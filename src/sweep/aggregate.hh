@@ -7,9 +7,10 @@
  * named baseline grid shape (within the scenario group that shares
  * every non-grid axis value), strong-scaling parallel efficiency, and
  * energy per processed edge. Rows render uniformly as an aligned text
- * table, RFC-4180 CSV, or JSON-lines — one flat object per row — so
- * the `dalorex sweep` subcommand and every bench/ figure driver share
- * one schema instead of ad-hoc printing.
+ * table, RFC-4180 CSV, or JSON-lines — one flat object per row — for
+ * `dalorex sweep` and the figure files under bench/figures/. The C++
+ * bench drivers do not share this schema: they build their own tables
+ * from each cell's cli::Report.
  */
 
 #ifndef DALOREX_SWEEP_AGGREGATE_HH
@@ -72,13 +73,6 @@ Table toTable(const std::vector<Row>& rows);
 
 /** Render rows as JSON-lines: one flat JSON object per row. */
 std::string toJsonl(const std::vector<Row>& rows);
-
-/**
- * Write `table` as `dir/name.csv` when `dir` is non-empty (the bench
- * drivers' `--csv DIR` mirror; replaces bench_util::maybeWriteCsv).
- */
-void writeCsvIfEnabled(const std::string& dir, const Table& table,
-                       const std::string& name);
 
 } // namespace sweep
 } // namespace dalorex

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -375,6 +376,20 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
     }
     for (const std::string& note : expanded.notes)
         err << "dalorex sweep: " << note << "\n";
+    // An output file that cannot be opened fails before any row runs.
+    // The probe appends nothing and removes a file it created, so the
+    // outputs change only when the rows render.
+    for (const std::string* path : {&o.csvPath, &o.jsonlPath}) {
+        std::error_code ec;
+        const bool created =
+            !path->empty() && !std::filesystem::exists(*path, ec);
+        if (!path->empty() && !std::ofstream(*path, std::ios::app)) {
+            err << "dalorex sweep: cannot open " << *path << "\n";
+            return 2;
+        }
+        if (created)
+            std::filesystem::remove(*path, ec);
+    }
 
     // Scenario identity: one hash per row over its canonical request
     // bytes and a plan hash over all of them. Journals bind to both,

@@ -17,10 +17,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <deque>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1175,8 +1177,9 @@ TEST(ServeSocket, MissingFileRowJournalsFailedLocallyAndViaDaemon)
 
 TEST(ServeSocket, UnparsableResultPayloadFailsItsRow)
 {
-    // A fake daemon answers the one request with a result whose
-    // report does not parse, then hangs up.
+    // A fake daemon answers the stats request, then the one run
+    // request with a result whose report does not parse, then hangs
+    // up.
     const std::string path = "serve_test_bad_payload.sock";
     std::string err;
     const int listener = listenUnix(path, err);
@@ -1187,6 +1190,9 @@ TEST(ServeSocket, UnparsableResultPayloadFailsItsRow)
             return;
         LineReader reader(fd);
         std::string line;
+        if (reader.readLine(line) == ReadStatus::line)
+            sendAll(fd, R"({"type":"stats","id":"w","stats":{"workers":1}})"
+                        "\n");
         if (reader.readLine(line) == ReadStatus::line)
             sendAll(fd, R"({"type":"result","id":"p0","report":{"stats":}})"
                         "\n");
@@ -1206,6 +1212,142 @@ TEST(ServeSocket, UnparsableResultPayloadFailsItsRow)
     EXPECT_NE(outcomes[0].error.find("bad report payload"),
               std::string::npos)
         << outcomes[0].error;
+}
+
+/** One line from `fd`, read a byte at a time so that nothing past it
+ *  is consumed; false at EOF. */
+bool
+readOneLine(int fd, std::string& line)
+{
+    line.clear();
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1) {
+        if (c == '\n')
+            return true;
+        line += c;
+    }
+    return false;
+}
+
+TEST(ServeSocket, ViaKeepsOneRowPerDaemonWorkerUnanswered)
+{
+    // A fake daemon with two workers answers the oldest unanswered row
+    // whenever the client has sent nothing for 100 ms, and records the
+    // most rows it ever held unanswered. A client that sends every row
+    // at once makes it hold all five.
+    const std::string path = "serve_test_window.sock";
+    std::string err;
+    const int listener = listenUnix(path, err);
+    ASSERT_GE(listener, 0) << err;
+    constexpr std::size_t rows = 5;
+    std::size_t most_unanswered = 0;
+    std::thread daemon([listener, &most_unanswered] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::deque<std::string> unanswered; // row ids, oldest first
+        std::size_t answered = 0;
+        int idle_polls_left = 50; // give up on a client that stalls
+        std::string line;
+        while (answered < rows && idle_polls_left > 0) {
+            pollfd readable{fd, POLLIN, 0};
+            if (::poll(&readable, 1, 100) == 0) {
+                if (unanswered.empty()) {
+                    --idle_polls_left;
+                    continue;
+                }
+                sendAll(fd, R"({"type":"error","id":")" +
+                                unanswered.front() +
+                                R"(","error":"fake"})" "\n");
+                unanswered.pop_front();
+                ++answered;
+                continue;
+            }
+            if (!readOneLine(fd, line))
+                break;
+            const JsonParseResult request = parseJson(line);
+            const JsonValue* type = request.value.find("type");
+            const JsonValue* id = request.value.find("id");
+            if (type == nullptr || id == nullptr)
+                break;
+            if (type->text == "stats") {
+                sendAll(fd, R"({"type":"stats","id":")" + id->text +
+                                R"(","stats":{"workers":2}})" "\n");
+                continue;
+            }
+            unanswered.push_back(id->text);
+            most_unanswered =
+                std::max(most_unanswered, unanswered.size());
+        }
+        ::close(fd);
+    });
+
+    std::vector<cli::RunOutcome> outcomes;
+    const bool ok = runViaSocket(
+        path, "test", std::vector<cli::Options>(rows), outcomes, err);
+    ::shutdown(listener, SHUT_RDWR); // wakes accept() if never reached
+    daemon.join();
+    ::close(listener);
+    ::unlink(path.c_str());
+    EXPECT_TRUE(ok) << err;
+    EXPECT_EQ(most_unanswered, 2u);
+    ASSERT_EQ(outcomes.size(), rows);
+    for (const cli::RunOutcome& outcome : outcomes)
+        EXPECT_EQ(outcome.error, "fake");
+}
+
+TEST(ServeSocket, AnswersForRowsNotYetSentAreIgnored)
+{
+    // A fake one-worker daemon meets the first run request with
+    // answers for rows 1 and 2, which the client has not sent yet,
+    // then answers each request it reads. The early answers must not
+    // resolve those rows.
+    const std::string path = "serve_test_unsent.sock";
+    std::string err;
+    const int listener = listenUnix(path, err);
+    ASSERT_GE(listener, 0) << err;
+    std::thread daemon([listener] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        auto answer = [fd](const std::string& id, const char* error) {
+            sendAll(fd, R"({"type":"error","id":")" + id +
+                            R"(","error":")" + error + "\"}\n");
+        };
+        LineReader reader(fd);
+        std::string line;
+        bool first_run = true;
+        while (reader.readLine(line) == ReadStatus::line) {
+            const JsonParseResult request = parseJson(line);
+            const JsonValue* id = request.value.find("id");
+            if (id == nullptr)
+                break;
+            if (id->text == "w") {
+                sendAll(fd, R"({"type":"stats","id":"w","stats":{"workers":1}})"
+                            "\n");
+                continue;
+            }
+            if (first_run) {
+                first_run = false;
+                answer("p1", "early");
+                answer("p2", "early");
+            }
+            answer(id->text, "fake");
+        }
+        ::close(fd);
+    });
+
+    std::vector<cli::RunOutcome> outcomes;
+    const bool ok = runViaSocket(
+        path, "test", std::vector<cli::Options>(4), outcomes, err);
+    ::shutdown(listener, SHUT_RDWR); // wakes accept() if never reached
+    daemon.join();
+    ::close(listener);
+    ::unlink(path.c_str());
+    EXPECT_TRUE(ok) << err;
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const cli::RunOutcome& outcome : outcomes)
+        EXPECT_EQ(outcome.error, "fake");
 }
 
 // --- fault tolerance: deadlines, oversized lines, retries, drain ----

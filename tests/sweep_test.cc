@@ -419,6 +419,32 @@ TEST(SweepMain, NarrowRucheGridIsRefusedBeforeAnyRowRuns)
     EXPECT_TRUE(out.empty()) << out;
 }
 
+TEST(SweepMain, UnwritableOutputFailsBeforeAnyRowRuns)
+{
+    // The other output names an existing file: it must keep its bytes.
+    const std::string kept = testing::TempDir() + "sweep_test_kept.out";
+    const std::string bad = "/nonexistent/dir/x.out";
+    for (const char* flag : {"--csv", "--jsonl"}) {
+        SCOPED_TRACE(flag);
+        std::ofstream(kept) << "kept\n";
+        const char* other =
+            std::string(flag) == "--csv" ? "--jsonl" : "--csv";
+        std::string out;
+        std::string err;
+        EXPECT_EQ(runSweep({"--kernel", "bfs", "--grid-size", "2x2",
+                            "--scale", "6", "--threads", "1", other,
+                            kept.c_str(), flag, bad.c_str()},
+                           out, err),
+                  2);
+        EXPECT_EQ(err, "dalorex sweep: cannot open " + bad + "\n");
+        EXPECT_TRUE(out.empty()) << out;
+        std::ifstream in(kept);
+        std::string line;
+        EXPECT_TRUE(std::getline(in, line) && line == "kept") << line;
+    }
+    std::remove(kept.c_str());
+}
+
 TEST(Expand, EngineThreadsAxisMultipliesPoints)
 {
     Plan plan = miniPlan();
