@@ -80,5 +80,5 @@ main()
                 static_cast<unsigned long long>(
                     stats.noc.messagesDelivered),
                 static_cast<unsigned long long>(stats.noc.flitHops));
-    return 0;
+    return dist == expected ? 0 : 1;
 }

@@ -285,8 +285,8 @@ runScenario(const Options& options, RunControl control)
     const CachedDataset cached = datasetCacheGet(
         dataset_name, options.datasetScale, options.seed);
     if (!cached.ok) {
-        // A failed file: load is I/O and worth retrying (the cache's
-        // negative entry expires); a failed generation is not.
+        // A failed file: load is I/O and worth retrying (the cache
+        // does not keep the failure); a failed generation is not.
         outcome.transient = cached.transient;
         return failRun(std::move(outcome), cached.error);
     }

@@ -1,6 +1,5 @@
 #include "graph/dataset_cache.hh"
 
-#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -12,31 +11,18 @@ namespace dalorex
 namespace
 {
 
-using SteadyClock = std::chrono::steady_clock;
-
 /**
- * One cache slot: a small state machine instead of a once_flag so a
- * *failed* build can be retried after its negative entry expires.
- * `building` serializes the build across workers (waiters block on
- * the condition variable, exactly like the old call_once); `failed`
- * entries answer from the cached error until `retryAfter`, then the
- * next requester flips the slot back to `building` and rebuilds.
+ * One build and the requests waiting on it. A success stays in the
+ * map for good. A failure leaves the map before it is published, so
+ * it answers only the requests already waiting on it and the next
+ * request builds again.
  */
 struct Entry
 {
-    enum class State
-    {
-        empty,    //!< never built (fresh slot)
-        building, //!< one worker is generating/loading right now
-        ready,    //!< immutable success, served forever
-        failed,   //!< negative entry, served until retryAfter
-    };
-
     std::mutex mutex;
     std::condition_variable cv;
-    State state = State::empty;
+    bool built = false; //!< `value` holds the build's outcome
     CachedDataset value;
-    SteadyClock::time_point retryAfter{}; //!< failed only
 };
 
 struct Cache
@@ -44,7 +30,6 @@ struct Cache
     std::mutex mutex;
     std::map<std::string, std::shared_ptr<Entry>> entries;
     DatasetCacheStats stats;
-    std::uint64_t negativeTtlMs = 200;
 };
 
 Cache&
@@ -75,74 +60,55 @@ datasetCacheGet(const std::string& name, unsigned scale,
                 std::uint64_t seed)
 {
     Cache& c = cache();
+    const std::string key = cacheKey(name, scale, seed);
     std::shared_ptr<Entry> entry;
-    std::uint64_t negative_ttl_ms = 0;
+    bool build = false;
     {
         std::lock_guard<std::mutex> lock(c.mutex);
-        auto& slot = c.entries[cacheKey(name, scale, seed)];
-        if (slot == nullptr)
+        std::shared_ptr<Entry>& slot = c.entries[key];
+        build = slot == nullptr;
+        if (build) {
             slot = std::make_shared<Entry>();
-        entry = slot;
-        negative_ttl_ms = c.negativeTtlMs;
-    }
-
-    // Decide under the entry lock whether to serve, wait or build;
-    // the build itself runs unlocked so a slow generation blocks only
-    // requests for this key, never the map.
-    std::unique_lock<std::mutex> lock(entry->mutex);
-    for (;;) {
-        if (entry->state == Entry::State::ready) {
-            std::lock_guard<std::mutex> stats(c.mutex);
+            ++c.stats.builds;
+        } else {
             ++c.stats.hits;
-            return entry->value;
         }
-        if (entry->state == Entry::State::failed) {
-            if (SteadyClock::now() < entry->retryAfter) {
-                std::lock_guard<std::mutex> stats(c.mutex);
-                ++c.stats.hits;
-                return entry->value;
-            }
-            break; // negative entry expired: this thread rebuilds
-        }
-        if (entry->state == Entry::State::empty)
-            break; // this thread builds
-        entry->cv.wait(lock); // building: await the builder's result
+        entry = slot;
     }
 
-    entry->state = Entry::State::building;
-    lock.unlock();
-    {
-        std::lock_guard<std::mutex> stats(c.mutex);
-        ++c.stats.builds;
+    if (!build) {
+        std::unique_lock<std::mutex> lock(entry->mutex);
+        entry->cv.wait(lock, [&entry] { return entry->built; });
+        return entry->value;
     }
 
+    // The build runs with no lock held, so a slow generation blocks
+    // only requests for this key, never the map.
     CachedDataset result;
-    DatasetResult built = scale > 0
-                              ? tryMakeDatasetAt(name, scale, seed)
-                              : tryMakeDataset(name, seed);
-    if (!built.ok) {
+    DatasetResult made = scale > 0
+                             ? tryMakeDatasetAt(name, scale, seed)
+                             : tryMakeDataset(name, seed);
+    if (!made.ok) {
         result.ok = false;
-        result.error = built.error;
+        result.error = made.error;
         // File loads fail for I/O reasons that can heal (the file
         // appears, the mount recovers); generation failures are
         // deterministic in the key and never will.
         result.transient = isFileDataset(name);
+        std::lock_guard<std::mutex> lock(c.mutex);
+        const auto it = c.entries.find(key);
+        if (it != c.entries.end() && it->second == entry)
+            c.entries.erase(it);
     } else {
         result.dataset =
-            std::make_shared<const Dataset>(std::move(built.dataset));
+            std::make_shared<const Dataset>(std::move(made.dataset));
     }
 
-    lock.lock();
-    entry->value = result;
-    if (result.ok) {
-        entry->state = Entry::State::ready;
-    } else {
-        entry->state = Entry::State::failed;
-        entry->retryAfter =
-            SteadyClock::now() +
-            std::chrono::milliseconds(negative_ttl_ms);
+    {
+        std::lock_guard<std::mutex> lock(entry->mutex);
+        entry->value = result;
+        entry->built = true;
     }
-    lock.unlock();
     entry->cv.notify_all();
     return result;
 }
@@ -162,14 +128,6 @@ datasetCacheClear()
     std::lock_guard<std::mutex> lock(c.mutex);
     c.entries.clear();
     c.stats = DatasetCacheStats{};
-}
-
-void
-datasetCacheSetNegativeTtlMs(std::uint64_t ms)
-{
-    Cache& c = cache();
-    std::lock_guard<std::mutex> lock(c.mutex);
-    c.negativeTtlMs = ms;
 }
 
 } // namespace dalorex

@@ -7,17 +7,16 @@
  * the identical graph: a 256-point sweep over one dataset built it
  * once per point. This cache shares one immutable Dataset per key
  * across the whole process; concurrent requests for the same key
- * block on a single builder (std::call_once per entry), so N workers
- * trigger exactly one generation or file load.
+ * wait on a single builder, so N workers trigger exactly one
+ * generation or file load.
  *
  * Successful entries are never evicted: a long sweep touches its few
  * datasets thousands of times, and the working set (a handful of CSR
  * graphs) is small next to the per-scenario engine state. Failed
- * builds are cached *with an expiry*: a negative entry answers
- * repeat requests in microseconds until its retry-after stamp
- * passes, then the next request rebuilds — so one flaky mmap or a
- * graph file that appears later doesn't poison every future row
- * (retry/backoff in the sweep layer leans on exactly this).
+ * builds are not cached: a failure answers the requests already
+ * waiting on it, and the next request builds again, so one flaky
+ * mmap or a graph file that appears later does not poison a retried
+ * row.
  */
 
 #ifndef DALOREX_GRAPH_DATASET_CACHE_HH
@@ -40,8 +39,8 @@ struct CachedDataset
     bool ok = true;
     std::string error; //!< one line, set when !ok
     /** !ok only: whether the failure is worth retrying later (file
-     *  I/O — the negative entry expires) vs deterministic (a bad
-     *  generation spec, which would fail identically forever). */
+     *  I/O, which the next request tries again) vs deterministic (a
+     *  bad generation spec, which would fail identically forever). */
     bool transient = false;
 };
 
@@ -49,7 +48,7 @@ struct CachedDataset
  * The shared dataset for (name, scale, seed), building it on first
  * use. `scale` 0 means the dataset's native size (tryMakeDataset);
  * nonzero goes through tryMakeDatasetAt. Thread-safe; build errors
- * are recoverable and cached.
+ * are recoverable and not cached.
  */
 CachedDataset datasetCacheGet(const std::string& name, unsigned scale,
                               std::uint64_t seed);
@@ -65,15 +64,6 @@ DatasetCacheStats datasetCacheStats();
 
 /** Drop every entry and zero the counters (tests, memory pressure). */
 void datasetCacheClear();
-
-/**
- * How long a *failed* build is served from its negative entry before
- * the next request retries the build (default 200 ms; 0 = every
- * request after a failure retries). Applies to entries created after
- * the call. Sweep retry backoff should exceed this so a retried row
- * reaches the filesystem again instead of the stale negative entry.
- */
-void datasetCacheSetNegativeTtlMs(std::uint64_t ms);
 
 } // namespace dalorex
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "common/logging.hh"
 #include "common/text.hh"
 #include "graph/graphfile.hh"
 #include "graph/rmat.hh"
@@ -256,23 +255,6 @@ tryMakeDataset(const std::string& name, std::uint64_t seed)
     return failBuild(
         "unknown dataset: " + name +
         " (expected amazon|wiki|livejournal|rmatN|file:PATH)");
-}
-
-Dataset
-makeDataset(const std::string& name, std::uint64_t seed)
-{
-    DatasetResult result = tryMakeDataset(name, seed);
-    fatal_if(!result.ok, result.error);
-    return std::move(result.dataset);
-}
-
-Dataset
-makeDatasetAt(const std::string& name, unsigned scale,
-              std::uint64_t seed)
-{
-    DatasetResult result = tryMakeDatasetAt(name, scale, seed);
-    fatal_if(!result.ok, result.error);
-    return std::move(result.dataset);
 }
 
 } // namespace dalorex

@@ -71,21 +71,13 @@ DatasetResult tryMakeDataset(const std::string& name,
 DatasetResult tryMakeDatasetAt(const std::string& name, unsigned scale,
                                std::uint64_t seed = 1);
 
-/** tryMakeDataset() for contexts that own the process (benches,
- *  examples): fatal() on any error. */
-Dataset makeDataset(const std::string& name, std::uint64_t seed = 1);
-
-/** tryMakeDatasetAt() with the same fatal() contract. */
-Dataset makeDatasetAt(const std::string& name, unsigned scale,
-                      std::uint64_t seed = 1);
-
 /** True for "file:PATH" dataset names (on-disk binary CSR graphs). */
 bool isFileDataset(const std::string& name);
 
 /** One --list-datasets catalog entry. */
 struct DatasetListing
 {
-    std::string name;    //!< canonical makeDataset() name
+    std::string name;    //!< canonical tryMakeDataset() name
     std::string aliases; //!< accepted alternates ("az, AZ")
     std::string note;    //!< what it stands in for
 };

@@ -4,17 +4,11 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DALOREX_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define DALOREX_HAVE_MMAP 0
-#endif
 
 // Section arrays are dumped/mapped as raw u32s; the checksums make a
 // byte-swapped file fail loudly rather than load garbage.
@@ -90,30 +84,26 @@ failInspect(const std::string& message)
 }
 
 /**
- * A read-only view of the whole file: mmap'd where the platform has
- * it (the page cache then backs repeated loads of a hot graph), read
- * into an owned buffer elsewhere.
+ * A read-only mmap'd view of the whole file (the page cache then
+ * backs repeated loads of a hot graph).
  */
 class FileView
 {
   public:
     ~FileView()
     {
-#if DALOREX_HAVE_MMAP
         if (mapped_ != nullptr)
             ::munmap(mapped_, size_);
-#endif
     }
 
     FileView(const FileView&) = delete;
     FileView& operator=(const FileView&) = delete;
     FileView() = default;
 
-    /** Open and map/read `path`; false with `error` on failure. */
+    /** Open and map `path`; false with `error` on failure. */
     bool
     open(const std::string& path, std::string& error)
     {
-#if DALOREX_HAVE_MMAP
         const int fd = ::open(path.c_str(), O_RDONLY);
         if (fd < 0) {
             error = "cannot open graph file: " + path;
@@ -138,45 +128,19 @@ class FileView
         }
         ::close(fd);
         return true;
-#else
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        if (!in) {
-            error = "cannot open graph file: " + path;
-            return false;
-        }
-        const std::streamoff end = in.tellg();
-        size_ = static_cast<std::size_t>(end < 0 ? 0 : end);
-        buffer_.resize(size_);
-        in.seekg(0);
-        if (size_ > 0 &&
-            !in.read(reinterpret_cast<char*>(buffer_.data()),
-                     static_cast<std::streamsize>(size_))) {
-            error = "cannot read graph file: " + path;
-            return false;
-        }
-        return true;
-#endif
     }
 
     const std::uint8_t*
     data() const
     {
-#if DALOREX_HAVE_MMAP
         return static_cast<const std::uint8_t*>(mapped_);
-#else
-        return buffer_.data();
-#endif
     }
 
     std::size_t size() const { return size_; }
 
   private:
     std::size_t size_ = 0;
-#if DALOREX_HAVE_MMAP
     void* mapped_ = nullptr;
-#else
-    std::vector<std::uint8_t> buffer_;
-#endif
 };
 
 /**

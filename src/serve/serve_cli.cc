@@ -259,7 +259,8 @@ serveUsageText()
         "byte-identical to a standalone `dalorex --json` run of the\n"
         "same scenario. The daemon keeps no results across restarts:\n"
         "a `sweep --via` run's own --journal is its durable record,\n"
-        "and its --resume resubmits only the rows missing from it.\n"
+        "and rerun on that journal it resubmits only the rows missing\n"
+        "from it.\n"
         "\n"
         "options:\n"
         "  --socket PATH   listen on a Unix domain socket instead of\n"

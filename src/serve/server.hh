@@ -3,7 +3,7 @@
  * The `dalorex serve` daemon core, transport-agnostic.
  *
  * A Server owns the FairScheduler and a crew of worker threads;
- * transports (stdin, Unix socket — see transport.hh) own the bytes.
+ * transports (stdin, Unix socket — see serve_cli.cc) own the bytes.
  * A transport registers each client as a connection with a write sink,
  * feeds request lines to handleLine(), and the server pushes response
  * lines back through the sink — from the reader thread for `accepted`/

@@ -68,9 +68,7 @@ struct RunPolicy
     unsigned retries = 0;
     /** Backoff before attempt k (1-based retry): backoffMs << (k-1)
      *  plus a deterministic jitter derived from (seed, row, k), all
-     *  saturating (see retryBackoffMs). Keep it above the dataset
-     *  cache's negative-entry TTL so a retry reaches the filesystem,
-     *  not the cached failure. */
+     *  saturating (see retryBackoffMs). */
     std::uint64_t backoffMs = 250;
     std::uint64_t seed = 1; //!< jitter seed (determinism, not entropy)
     /** Resume mask: skip[i] true = row i is already resolved and must

@@ -211,9 +211,6 @@ parseSweepArgs(int argc, const char* const* argv)
         } else if (flag == "--journal" && next()) {
             if (!path(o.journalPath))
                 return fail("--journal needs a file path");
-        } else if (flag == "--resume" && next()) {
-            if (!path(o.resumePath))
-                return fail("--resume needs a journal file path");
         } else if (flag == "--retries" && next()) {
             std::uint32_t retries = 0;
             if (!cli::parseU32(value, 0, 16, retries))
@@ -318,12 +315,12 @@ sweepUsageText()
         "\nfault tolerance:\n" +
         cli::usageLine("--journal PATH",
                        "append one checksummed record per row as it "
-                       "resolves; a killed sweep resumes from it") +
-        cli::usageLine("--resume PATH",
-                       "replay a journal from an earlier run of the same "
-                       "plan: completed rows are not re-run and the "
-                       "merged output is byte-identical to an "
-                       "uninterrupted sweep") +
+                       "resolves. A journal of the same plan already at "
+                       "PATH is replayed first, so rerunning a killed "
+                       "sweep resumes it: completed rows are not re-run "
+                       "and the output is byte-identical to an "
+                       "uninterrupted sweep. Any other non-empty file is "
+                       "refused untouched") +
         cli::usageLine("--retries N",
                        "re-run transiently failing rows (dataset I/O, "
                        "timeouts) up to N extra times [0, 16] (default "
@@ -402,25 +399,30 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         hashBytes(point_hashes.data(),
                   point_hashes.size() * sizeof(std::uint64_t));
 
-    // --resume: replay the journal; rows whose record verifies are
-    // masked off the run and their outcomes rebuilt through the same
-    // parseReportPayload path `--via` uses, so the merged output is
-    // byte-identical to an uninterrupted sweep.
+    // A non-empty --journal file is replayed before the run appends
+    // to it: rows whose record verifies are masked off the run and
+    // their outcomes rebuilt through the same parseReportPayload path
+    // `--via` uses, so the merged output is byte-identical to an
+    // uninterrupted sweep. A file that is not a journal of this plan
+    // is refused before anything is written to it.
     std::vector<char> skip(expanded.points.size(), 0);
     std::vector<cli::RunOutcome> replayed_outcomes(
         expanded.points.size());
-    std::vector<journal::Record> replayed_records(
-        expanded.points.size());
     std::uint64_t rows_replayed = 0;
-    if (!o.resumePath.empty()) {
-        const journal::Replay rep = journal::replay(o.resumePath);
+    std::error_code no_file;
+    const std::uintmax_t journal_bytes =
+        o.journalPath.empty()
+            ? 0
+            : std::filesystem::file_size(o.journalPath, no_file);
+    if (!no_file && journal_bytes > 0) {
+        const journal::Replay rep = journal::replay(o.journalPath);
         if (!rep.ok) {
             err << "dalorex sweep: " << rep.error << "\n";
             return 2;
         }
         if (rep.planHash != plan_hash ||
             rep.points != expanded.points.size()) {
-            err << "dalorex sweep: journal " << o.resumePath
+            err << "dalorex sweep: journal " << o.journalPath
                 << " records a different plan; refusing to resume\n";
             return 2;
         }
@@ -446,7 +448,6 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
             if (resolved) {
                 skip[record.row] = 1;
                 replayed_outcomes[record.row] = std::move(outcome);
-                replayed_records[record.row] = record;
             } else {
                 skip[record.row] = 0; // last record wins
             }
@@ -455,7 +456,7 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
             rows_replayed += s != 0 ? 1 : 0;
         err << "[sweep] resumed " << rows_replayed << " of "
             << expanded.points.size() << " rows from "
-            << o.resumePath;
+            << o.journalPath;
         if (rep.corrupt > 0)
             err << " (" << rep.corrupt << " damaged line"
                 << (rep.corrupt == 1 ? "" : "s") << " dropped)";
@@ -470,12 +471,6 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
             err << "dalorex sweep: " << jerr << "\n";
             return 2;
         }
-        // Journaling to a new file: carry the replayed rows forward
-        // so the new journal alone resumes the remainder.
-        if (o.journalPath != o.resumePath)
-            for (std::size_t i = 0; i < replayed_records.size(); ++i)
-                if (skip[i] != 0)
-                    journal_writer.append(replayed_records[i]);
     }
 
     std::atomic<std::uint64_t> retried_rows{0};

@@ -34,18 +34,14 @@ struct SweepOptions
     std::string csvPath;   //!< write aggregate CSV here ("" = off)
     std::string jsonlPath; //!< write JSONL rows here ("" = off)
     /** `--journal PATH`: append a checksummed record per row as it
-     *  resolves, so a killed sweep can resume ("" = off). */
+     *  resolves. A journal of the same plan already at PATH is
+     *  replayed first: its completed rows are not re-run and the
+     *  output is byte-identical to an uninterrupted sweep ("" = off). */
     std::string journalPath;
-    /** `--resume PATH`: replay a journal from an earlier (killed or
-     *  partial) run of the *same plan*; verified-complete rows are
-     *  not re-run and the merged output is byte-identical to an
-     *  uninterrupted sweep ("" = off). */
-    std::string resumePath;
     /** Extra attempts per transiently failing row (I/O, timeout);
      *  local rows only, a daemon retries with `serve --retries`. */
     unsigned retries = 0;
-    /** Base backoff before a retry; doubles per attempt. Keep above
-     *  the dataset cache's negative-entry TTL (200 ms). */
+    /** Base backoff before a retry; doubles per attempt. */
     std::uint64_t retryBackoffMs = 250;
     bool json = false;     //!< print JSONL to stdout, not the table
     bool quick = true;     //!< stand-in scale for named datasets

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/stats.hh"
 #include "graph/csr.hh"
@@ -197,43 +198,61 @@ TEST(Rmat, MilderParametersLessSkewed)
 
 TEST(Datasets, AliasesResolve)
 {
-    EXPECT_EQ(makeDatasetAt("AZ", 10).name, "AZ");
-    EXPECT_EQ(makeDatasetAt("wiki", 10).name, "WK");
-    EXPECT_EQ(makeDatasetAt("LJ", 10).name, "LJ");
-    EXPECT_EQ(makeDataset("rmat8").name, "R8");
+    const std::pair<const char*, const char*> aliases[] = {
+        {"AZ", "AZ"}, {"wiki", "WK"}, {"LJ", "LJ"}};
+    for (const auto& [alias, name] : aliases) {
+        const DatasetResult r = tryMakeDatasetAt(alias, 10);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.dataset.name, name);
+    }
+    const DatasetResult rmat = tryMakeDataset("rmat8");
+    ASSERT_TRUE(rmat.ok) << rmat.error;
+    EXPECT_EQ(rmat.dataset.name, "R8");
 }
 
 TEST(Datasets, AverageDegreesMatchProvenance)
 {
-    const Dataset wk = makeDatasetAt("wiki", 12);
+    const DatasetResult wk = tryMakeDatasetAt("wiki", 12);
+    ASSERT_TRUE(wk.ok) << wk.error;
+    const Csr& wk_graph = wk.dataset.graph;
     const double wk_deg =
-        static_cast<double>(wk.graph.numEdges) / wk.graph.numVertices;
+        static_cast<double>(wk_graph.numEdges) / wk_graph.numVertices;
     EXPECT_NEAR(wk_deg, 24.0, 4.0); // Wikipedia ~24 (self loops cut)
 
-    const Dataset lj = makeDatasetAt("livejournal", 12);
+    const DatasetResult lj = tryMakeDatasetAt("livejournal", 12);
+    ASSERT_TRUE(lj.ok) << lj.error;
+    const Csr& lj_graph = lj.dataset.graph;
     const double lj_deg =
-        static_cast<double>(lj.graph.numEdges) / lj.graph.numVertices;
+        static_cast<double>(lj_graph.numEdges) / lj_graph.numVertices;
     EXPECT_NEAR(lj_deg, 15.0, 3.0); // LiveJournal ~15
 }
 
 TEST(Datasets, DeterministicAndSeedSensitive)
 {
-    const Dataset a = makeDatasetAt("amazon", 10, 5);
-    const Dataset b = makeDatasetAt("amazon", 10, 5);
-    const Dataset c = makeDatasetAt("amazon", 10, 6);
-    EXPECT_EQ(a.graph.colIdx, b.graph.colIdx);
-    EXPECT_NE(a.graph.colIdx, c.graph.colIdx);
+    const DatasetResult a = tryMakeDatasetAt("amazon", 10, 5);
+    const DatasetResult b = tryMakeDatasetAt("amazon", 10, 5);
+    const DatasetResult c = tryMakeDatasetAt("amazon", 10, 6);
+    ASSERT_TRUE(a.ok && b.ok && c.ok) << a.error << b.error << c.error;
+    EXPECT_EQ(a.dataset.graph.colIdx, b.dataset.graph.colIdx);
+    EXPECT_NE(a.dataset.graph.colIdx, c.dataset.graph.colIdx);
 }
 
 TEST(Datasets, ProvenanceDocumented)
 {
-    for (const char* name : {"amazon", "wiki", "livejournal", "rmat8"})
-        EXPECT_FALSE(makeDataset(name).provenance.empty()) << name;
+    for (const char* name : {"amazon", "wiki", "livejournal", "rmat8"}) {
+        const DatasetResult r = tryMakeDataset(name);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_FALSE(r.dataset.provenance.empty()) << name;
+    }
 }
 
-TEST(Datasets, UnknownNameIsFatal)
+TEST(Datasets, UnknownNameIsAOneLineError)
 {
-    EXPECT_DEATH((void)makeDataset("nosuchgraph"), "unknown dataset");
+    const DatasetResult r = tryMakeDataset("nosuchgraph");
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error.rfind("unknown dataset: nosuchgraph", 0), 0u)
+        << r.error;
+    EXPECT_EQ(r.error.find('\n'), std::string::npos) << r.error;
 }
 
 } // namespace

@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "graph-convert/graph_convert.hh"
 #include "graph/dataset_cache.hh"
@@ -206,7 +212,9 @@ TEST(GraphIo, MissingFileIsRecoverable)
 
 TEST(GraphFile, RoundTripsGeneratedDataset)
 {
-    const Dataset ds = makeDataset("rmat8");
+    const DatasetResult built = tryMakeDataset("rmat8");
+    ASSERT_TRUE(built.ok) << built.error;
+    const Dataset& ds = built.dataset;
     const std::string path = tmpPath("rmat8.dlx");
     std::string error;
     ASSERT_TRUE(saveGraphFile(path, ds, error)) << error;
@@ -238,7 +246,9 @@ TEST(GraphFile, RoundTripsWeightedTextGraph)
 
 TEST(GraphFile, SaveIsDeterministic)
 {
-    const Dataset ds = makeDataset("rmat6");
+    const DatasetResult built = tryMakeDataset("rmat6");
+    ASSERT_TRUE(built.ok) << built.error;
+    const Dataset& ds = built.dataset;
     const std::string a = tmpPath("det_a.dlx");
     const std::string b = tmpPath("det_b.dlx");
     std::string error;
@@ -252,8 +262,9 @@ std::vector<char>
 validFileBytes(const std::string& path)
 {
     std::string error;
-    const Dataset ds = makeDataset("rmat6");
-    EXPECT_TRUE(saveGraphFile(path, ds, error)) << error;
+    const DatasetResult built = tryMakeDataset("rmat6");
+    EXPECT_TRUE(built.ok) << built.error;
+    EXPECT_TRUE(saveGraphFile(path, built.dataset, error)) << error;
     return readAll(path);
 }
 
@@ -266,7 +277,9 @@ TEST(GraphFile, LoadsFromMisalignedImage)
     // load. Under UBSan this doubles as the misaligned-read gate for
     // the whole header/section parse path.
     const std::string path = tmpPath("misaligned.dlx");
-    const Dataset ds = makeDataset("rmat6");
+    const DatasetResult built = tryMakeDataset("rmat6");
+    ASSERT_TRUE(built.ok) << built.error;
+    const Dataset& ds = built.dataset;
     std::string error;
     ASSERT_TRUE(saveGraphFile(path, ds, error)) << error;
     const std::vector<char> bytes = readAll(path);
@@ -422,7 +435,9 @@ TEST(Datasets, LoadsFileDatasets)
 {
     const std::string path = tmpPath("viads.dlx");
     std::string error;
-    const Dataset ds = makeDataset("rmat7");
+    const DatasetResult built = tryMakeDataset("rmat7");
+    ASSERT_TRUE(built.ok) << built.error;
+    const Dataset& ds = built.dataset;
     ASSERT_TRUE(saveGraphFile(path, ds, error)) << error;
     const DatasetResult r = tryMakeDataset("file:" + path);
     ASSERT_TRUE(r.ok) << r.error;
@@ -472,7 +487,7 @@ TEST(DatasetCache, DistinguishesScaleAndSeed)
     datasetCacheClear();
 }
 
-TEST(DatasetCache, CachesFailuresToo)
+TEST(DatasetCache, FailuresAreNotCached)
 {
     datasetCacheClear();
     const std::string name = "file:" + tmpPath("cache_missing.dlx");
@@ -482,20 +497,77 @@ TEST(DatasetCache, CachesFailuresToo)
     ASSERT_FALSE(b.ok);
     EXPECT_EQ(a.error, b.error);
     const DatasetCacheStats stats = datasetCacheStats();
-    EXPECT_EQ(stats.builds, 1u);
-    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.builds, 2u);
+    EXPECT_EQ(stats.hits, 0u);
     datasetCacheClear();
 }
 
-TEST(DatasetCache, NegativeEntryExpiresAndHealsAfterRetry)
+TEST(DatasetCache, FailedBuildAnswersOnlyTheRequestsWaitingOnIt)
+{
+    // The build opens a FIFO, which blocks until the test opens its
+    // write end; then the build fails (not a regular file). Requests
+    // that arrive meanwhile (each counted as a hit once it finds the
+    // build) wait on that build and get its failure; the next request
+    // builds again.
+    datasetCacheClear();
+    const std::string path = tmpPath("cache_fifo.dlx");
+    std::remove(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << path;
+    const std::string name = "file:" + path;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    auto await = [&deadline](auto done) {
+        while (!done() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+
+    constexpr std::uint64_t waiters = 3;
+    std::vector<CachedDataset> answers(waiters + 1);
+    std::vector<std::thread> requests;
+    auto request = [&](std::size_t i) {
+        requests.emplace_back([&answers, &name, i] {
+            answers[i] = datasetCacheGet(name, 0, 1);
+        });
+    };
+    request(0);
+    await([] { return datasetCacheStats().builds == 1; });
+    for (std::size_t i = 1; i <= waiters; ++i)
+        request(i);
+    await([] { return datasetCacheStats().hits == waiters; });
+    // A non-blocking open of the write end succeeds once the builder
+    // is blocked opening the read end, and releases it.
+    int fd = -1;
+    await([&] {
+        fd = ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+        return fd >= 0;
+    });
+    EXPECT_GE(fd, 0) << "the build never opened " << path;
+    if (fd >= 0)
+        ::close(fd);
+    for (std::thread& thread : requests)
+        thread.join();
+
+    for (const CachedDataset& answer : answers) {
+        EXPECT_FALSE(answer.ok);
+        EXPECT_NE(answer.error.find("not a regular file"),
+                  std::string::npos)
+            << answer.error;
+    }
+    EXPECT_EQ(datasetCacheStats().builds, 1u);
+    EXPECT_EQ(datasetCacheStats().hits, waiters);
+    std::remove(path.c_str());
+    EXPECT_FALSE(datasetCacheGet(name, 0, 1).ok);
+    EXPECT_EQ(datasetCacheStats().builds, 2u);
+    datasetCacheClear();
+}
+
+TEST(DatasetCache, FailedLoadHealsOnTheNextRequest)
 {
     // The fault-tolerance contract: a file: load that fails once is
-    // not poisoned forever. Once the negative entry's TTL lapses, the
-    // next request retries the filesystem and succeeds if the file
-    // has appeared in the meantime (e.g. an NFS blip, or a dataset
-    // staged by another job).
+    // not poisoned: the next request retries the filesystem and
+    // succeeds if the file has appeared in the meantime (e.g. an NFS
+    // blip, or a dataset staged by another job).
     datasetCacheClear();
-    datasetCacheSetNegativeTtlMs(0); // expire immediately
     const std::string path = tmpPath("cache_heal.dlx");
     std::remove(path.c_str());
     const std::string name = "file:" + path;
@@ -504,9 +576,8 @@ TEST(DatasetCache, NegativeEntryExpiresAndHealsAfterRetry)
     ASSERT_FALSE(miss.ok);
     EXPECT_TRUE(miss.transient) << "file I/O failures are transient";
 
-    // Stage the file and ask again: with TTL 0 the negative entry is
-    // already stale, so this retries the load instead of replaying
-    // the cached failure.
+    // Stage the file and ask again: the failure was not cached, so
+    // this retries the load.
     {
         const DatasetResult built = tryMakeDataset("rmat6", 1);
         ASSERT_TRUE(built.ok) << built.error;
@@ -519,22 +590,6 @@ TEST(DatasetCache, NegativeEntryExpiresAndHealsAfterRetry)
     EXPECT_EQ(datasetCacheStats().builds, 2u);
 
     std::remove(path.c_str());
-    datasetCacheSetNegativeTtlMs(200); // restore the default
-    datasetCacheClear();
-}
-
-TEST(DatasetCache, FreshNegativeEntryStillServesWithinTtl)
-{
-    datasetCacheClear();
-    datasetCacheSetNegativeTtlMs(60000); // nothing expires in-test
-    const std::string name =
-        "file:" + tmpPath("cache_no_heal.dlx");
-    ASSERT_FALSE(datasetCacheGet(name, 0, 1).ok);
-    ASSERT_FALSE(datasetCacheGet(name, 0, 1).ok);
-    const DatasetCacheStats stats = datasetCacheStats();
-    EXPECT_EQ(stats.builds, 1u) << "TTL not lapsed: no retry";
-    EXPECT_EQ(stats.hits, 1u);
-    datasetCacheSetNegativeTtlMs(200);
     datasetCacheClear();
 }
 
@@ -584,7 +639,9 @@ TEST(Convert, SnapshotsCatalogDatasets)
     EXPECT_EQ(code, 0) << err;
     const GraphFileResult loaded = loadGraphFile(dlx);
     ASSERT_TRUE(loaded.ok) << loaded.error;
-    expectSameGraph(loaded.dataset.graph, makeDataset("rmat6").graph);
+    const DatasetResult want = tryMakeDataset("rmat6");
+    ASSERT_TRUE(want.ok) << want.error;
+    expectSameGraph(loaded.dataset.graph, want.dataset.graph);
 }
 
 TEST(Convert, VerifyModeRejectsCorruptFiles)

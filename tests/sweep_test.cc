@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/journal.hh"
@@ -548,7 +549,8 @@ TEST(SweepParse, RejectsUnknownOptions)
     // Removed flags are unknown, not silently accepted.
     for (const char* flag :
          {"--frobnicate", "--engine-barrier", "--engine-rebalance",
-          "--engine-scan", "--pagerank-iters", "--row-deadline-ms"}) {
+          "--engine-scan", "--pagerank-iters", "--row-deadline-ms",
+          "--resume"}) {
         std::string out;
         std::string err;
         EXPECT_EQ(runSweep({flag}, out, err), 2) << flag;
@@ -762,8 +764,7 @@ TEST(SweepMain, HelpCoversTheNewFlags)
     EXPECT_EQ(code, 0);
     for (const char* flag :
          {"--threads", "--list-datasets", "--grid-size", "--baseline",
-          "--barrier", "--journal", "--resume", "--retries",
-          "--deadline-ms"})
+          "--barrier", "--journal", "--retries", "--deadline-ms"})
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
@@ -782,14 +783,12 @@ TEST(SweepParse, FaultToleranceFlags)
 {
     const std::vector<const char*> args = {
         "sweep",     "--journal",          "j.jsonl",
-        "--resume",  "old.jsonl",          "--retries",
-        "2",         "--retry-backoff-ms", "5",
-        "--deadline-ms", "750"};
+        "--retries", "2",                  "--retry-backoff-ms",
+        "5",         "--deadline-ms",      "750"};
     const SweepParseResult parsed =
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_EQ(parsed.options.journalPath, "j.jsonl");
-    EXPECT_EQ(parsed.options.resumePath, "old.jsonl");
     EXPECT_EQ(parsed.options.retries, 2u);
     EXPECT_EQ(parsed.options.retryBackoffMs, 5u);
     EXPECT_EQ(parsed.options.plan.base.deadlineMs, 750u);
@@ -845,21 +844,21 @@ TEST(SweepFault, RowBudgetTooLargeForTheClockMeansNoDeadline)
 TEST(SweepFault, KilledJournalResumesByteIdentically)
 {
     // The checkpoint/resume acceptance test. A journaled sweep's
-    // output files, and those of a second sweep resumed from a
-    // torn copy of that journal (what a kill -9 mid-run leaves
-    // behind), must be byte-identical — replayed rows come from the
-    // journal payloads, not from re-execution.
+    // output files, and those of a second sweep rerun on a torn copy
+    // of that journal (what a kill -9 mid-run leaves behind), must be
+    // byte-identical — replayed rows come from the journal payloads,
+    // not from re-execution. The rerun appends the missing rows to
+    // the same journal, so a third run replays every row.
     datasetCacheClear();
     const std::string dir = testing::TempDir();
     const std::string j_full = dir + "sweep_fault_full.journal";
     const std::string j_torn = dir + "sweep_fault_torn.journal";
-    const std::string j_new = dir + "sweep_fault_resume.journal";
     const std::string a_rows = dir + "sweep_fault_a.jsonl";
     const std::string a_csv = dir + "sweep_fault_a.csv";
     const std::string b_rows = dir + "sweep_fault_b.jsonl";
     const std::string b_csv = dir + "sweep_fault_b.csv";
     for (const std::string& p :
-         {j_full, j_torn, j_new, a_rows, a_csv, b_rows, b_csv})
+         {j_full, j_torn, a_rows, a_csv, b_rows, b_csv})
         std::remove(p.c_str());
 
     std::string out;
@@ -870,6 +869,10 @@ TEST(SweepFault, KilledJournalResumesByteIdentically)
          "--jsonl", a_rows.c_str(), "--csv", a_csv.c_str()},
         out, err);
     ASSERT_EQ(code_a, 0) << err;
+    const std::string a_rows_bytes = slurp(a_rows);
+    ASSERT_FALSE(a_rows_bytes.empty());
+    const std::string a_csv_bytes = slurp(a_csv);
+    ASSERT_FALSE(a_csv_bytes.empty());
 
     // Tear the journal after the header + two complete rows, with a
     // half-written record at the end — exactly a kill -9 footprint.
@@ -884,67 +887,89 @@ TEST(SweepFault, KilledJournalResumesByteIdentically)
         torn << line.substr(0, line.size() / 2); // no newline
     }
 
-    const int code_b = runSweep(
-        {"--kernel", "bfs,wcc", "--grid-size", "2x2,4x4", "--scale",
-         "8", "--threads", "1", "--resume", j_torn.c_str(),
-         "--journal", j_new.c_str(), "--jsonl", b_rows.c_str(),
-         "--csv", b_csv.c_str()},
-        out, err);
-    ASSERT_EQ(code_b, 0) << err;
-    EXPECT_NE(err.find("resumed 2 of 4"), std::string::npos) << err;
+    const std::vector<const char*> resume = {
+        "--kernel", "bfs,wcc", "--grid-size", "2x2,4x4", "--scale", "8",
+        "--threads", "1", "--journal", j_torn.c_str(), "--jsonl",
+        b_rows.c_str(), "--csv", b_csv.c_str(), "--json"};
+    // Each run replays what the journal holds and appends (counted by
+    // journal_written) only the rows it ran.
+    for (const auto& [replayed, written] :
+         {std::pair<std::string, std::string>{"2", "2"}, {"4", "0"}}) {
+        SCOPED_TRACE("replaying " + replayed);
+        ASSERT_EQ(runSweep(resume, out, err), 0) << err;
+        EXPECT_NE(err.find("resumed " + replayed + " of 4"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(out.find("\"rows_replayed\":" + replayed + ","),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("\"journal_written\":" + written + ","),
+                  std::string::npos)
+            << out;
+        EXPECT_EQ(a_rows_bytes, slurp(b_rows))
+            << "JSONL rows differ between journaled and resumed sweeps";
+        EXPECT_EQ(a_csv_bytes, slurp(b_csv))
+            << "CSV differs between journaled and resumed sweeps";
+    }
 
-    const std::string a_rows_bytes = slurp(a_rows);
-    ASSERT_FALSE(a_rows_bytes.empty());
-    EXPECT_EQ(a_rows_bytes, slurp(b_rows))
-        << "JSONL rows differ between journaled and resumed sweeps";
-    const std::string a_csv_bytes = slurp(a_csv);
-    ASSERT_FALSE(a_csv_bytes.empty());
-    EXPECT_EQ(a_csv_bytes, slurp(b_csv))
-        << "CSV differs between journaled and resumed sweeps";
-
-    // Zero replayed rows were recomputed: the resumed journal holds
-    // the 2 carried-forward records plus exactly the 2 missing rows.
-    const journal::Replay replayed = journal::replay(j_new);
+    // Zero replayed rows were recomputed: the journal holds its 2
+    // surviving records plus exactly the 2 missing rows.
+    const journal::Replay replayed = journal::replay(j_torn);
     ASSERT_TRUE(replayed.ok) << replayed.error;
     EXPECT_EQ(replayed.records.size(), 4u);
 
     for (const std::string& p :
-         {j_full, j_torn, j_new, a_rows, a_csv, b_rows, b_csv})
+         {j_full, j_torn, a_rows, a_csv, b_rows, b_csv})
         std::remove(p.c_str());
     datasetCacheClear();
 }
 
 TEST(SweepFault, ResumeRefusesAForeignPlan)
 {
+    // --journal on a file that is not a journal of this plan exits 2
+    // with one line before any row runs and leaves the file as it was.
+    // A missing or empty file starts a new journal.
     datasetCacheClear();
-    const std::string path =
-        testing::TempDir() + "sweep_fault_foreign.journal";
-    std::remove(path.c_str());
-    std::string out;
+    const std::string dir = testing::TempDir();
+    const std::string path = dir + "sweep_fault_foreign.journal";
+    const std::string other = dir + "sweep_fault_not_a.journal";
+    auto sweep = [](const char* kernel, const std::string& journal,
+                    std::string& err) {
+        std::string out;
+        return runSweep({"--kernel", kernel, "--grid-size", "2x2",
+                         "--scale", "8", "--threads", "1", "--journal",
+                         journal.c_str()},
+                        out, err);
+    };
+    std::ofstream(path, std::ios::trunc).close(); // empty
     std::string err;
-    ASSERT_EQ(runSweep({"--kernel", "bfs", "--grid-size", "2x2",
-                        "--scale", "8", "--threads", "1",
-                        "--journal", path.c_str()},
-                       out, err),
-              0)
-        << err;
-    // Same journal, different plan: refused before any row runs.
-    err.clear();
-    EXPECT_EQ(runSweep({"--kernel", "wcc", "--grid-size", "2x2",
-                        "--scale", "8", "--threads", "1", "--resume",
-                        path.c_str()},
-                       out, err),
-              2);
-    EXPECT_NE(err.find("refusing to resume"), std::string::npos)
-        << err;
+    ASSERT_EQ(sweep("bfs", path, err), 0) << err;
+    EXPECT_EQ(err.find("resumed"), std::string::npos) << err;
+
+    std::ofstream(other, std::ios::trunc) << "not a journal\n";
+    for (const auto& [file, reason] :
+         {std::pair<std::string, std::string>{path, "a different plan"},
+          {other, "no valid header"}}) {
+        SCOPED_TRACE(file);
+        const std::string before = slurp(file);
+        EXPECT_EQ(sweep("wcc", file, err), 2);
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+        EXPECT_EQ(err.rfind("dalorex sweep: journal ", 0), 0u) << err;
+        EXPECT_NE(err.find(reason), std::string::npos) << err;
+        EXPECT_EQ(slurp(file), before);
+    }
+
+    // The journal's own plan still resumes from it.
+    ASSERT_EQ(sweep("bfs", path, err), 0) << err;
+    EXPECT_NE(err.find("resumed 1 of 1"), std::string::npos) << err;
     std::remove(path.c_str());
+    std::remove(other.c_str());
     datasetCacheClear();
 }
 
 TEST(SweepFault, TransientRowsRetryThenFailWithAttemptsJournaled)
 {
     datasetCacheClear();
-    datasetCacheSetNegativeTtlMs(0); // every attempt re-reads disk
     const std::string path =
         testing::TempDir() + "sweep_fault_retry.journal";
     std::remove(path.c_str());
@@ -954,16 +979,20 @@ TEST(SweepFault, TransientRowsRetryThenFailWithAttemptsJournaled)
         {"--kernel", "bfs", "--grid-size", "2x2", "--dataset",
          "file:sweep_fault_no_such.dlx", "--threads", "1",
          "--retries", "2", "--retry-backoff-ms", "1", "--journal",
-         path.c_str()},
+         path.c_str(), "--json"},
         out, err);
     EXPECT_EQ(code, 1) << err; // rows failed, sweep survived
+    // Every attempt reaches the filesystem: no failure is cached.
+    EXPECT_NE(out.find("\"dataset_cache_builds\":3,"
+                       "\"dataset_cache_hits\":0}"),
+              std::string::npos)
+        << out;
     const journal::Replay replayed = journal::replay(path);
     ASSERT_TRUE(replayed.ok) << replayed.error;
     ASSERT_EQ(replayed.records.size(), 1u);
     EXPECT_EQ(replayed.records[0].status, journal::RowStatus::failed);
     EXPECT_EQ(replayed.records[0].attempts, 3u) << "1 try + 2 retries";
     std::remove(path.c_str());
-    datasetCacheSetNegativeTtlMs(200);
     datasetCacheClear();
 }
 

@@ -6,7 +6,8 @@ Phase 1 — journaled sweep vs kill -9:
   2. run the same sweep again and SIGKILL it as soon as its journal
      holds at least one completed row (a real mid-run kill, no
      cooperation from the process);
-  3. resume from the torn journal with --resume into fresh outputs;
+  3. rerun the sweep with --journal on the torn journal, into fresh
+     outputs: it replays the journal and appends the missing rows;
   4. assert the resumed CSV and JSONL are byte-identical to the
      uninterrupted run's, and that every journaled row was replayed
      rather than recomputed ("resumed K of N" matches the journal).
@@ -14,9 +15,11 @@ Phase 1 — journaled sweep vs kill -9:
 Phase 2 — daemon kill under `sweep --via`:
   5. start `dalorex serve`, point the same sweep at it with --via +
      --journal, and SIGKILL the daemon mid-plan;
-  6. restart the daemon and resume the sweep from its journal;
-  7. assert the final JSONL is byte-identical to the reference and
-     that every row the sweep journaled was replayed, not resubmitted.
+  6. restart the daemon and rerun the sweep with --via and --journal
+     on the same journal;
+  7. assert the final JSONL and CSV are byte-identical to the
+     reference and that every row the sweep journaled was replayed,
+     not resubmitted.
 
 The daemon keeps no results across restarts: the sweep journal is
 the one durable record, and it carries the daemon-kill resume too.
@@ -125,15 +128,13 @@ def phase1_local_kill(dalorex, work):
     resumed_jsonl = os.path.join(work, "resumed.jsonl")
     resumed_csv = os.path.join(work, "resumed.csv")
     resume = subprocess.run(
-        sweep_args(dalorex, os.path.join(work, "resumed.journal"),
-                   resumed_jsonl, resumed_csv,
-                   ["--resume", torn_journal]),
+        sweep_args(dalorex, torn_journal, resumed_jsonl, resumed_csv),
         check=True, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True)
     expect_replayed(resume.stderr, done_rows)
     expect_same_bytes("phase-1 JSONL rows", ref_jsonl, resumed_jsonl)
     expect_same_bytes("phase-1 CSV", ref_csv, resumed_csv)
-    return ref_jsonl
+    return ref_jsonl, ref_csv
 
 
 def accepts_connections(sock):
@@ -168,7 +169,7 @@ def start_daemon(dalorex, sock):
     sys.exit("chaos_smoke: daemon never bound its socket")
 
 
-def phase2_daemon_kill(dalorex, work, ref_jsonl):
+def phase2_daemon_kill(dalorex, work, ref_jsonl, ref_csv):
     sock = os.path.join(work, "chaos.sock")
     daemon = start_daemon(dalorex, sock)
 
@@ -192,10 +193,10 @@ def phase2_daemon_kill(dalorex, work, ref_jsonl):
 
     daemon = start_daemon(dalorex, sock)
     final_jsonl = os.path.join(work, "final.jsonl")
+    final_csv = os.path.join(work, "final.csv")
     resume = subprocess.run(
-        sweep_args(dalorex, os.path.join(work, "final.journal"),
-                   final_jsonl, os.path.join(work, "final.csv"),
-                   ["--via", sock, "--resume", via_journal]),
+        sweep_args(dalorex, via_journal, final_jsonl, final_csv,
+                   ["--via", sock]),
         check=True, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True)
     expect_replayed(resume.stderr, done_rows)
@@ -203,6 +204,7 @@ def phase2_daemon_kill(dalorex, work, ref_jsonl):
     if daemon.wait(timeout=60) != 0:
         sys.exit("chaos_smoke: restarted daemon exited nonzero")
     expect_same_bytes("phase-2 JSONL rows", ref_jsonl, final_jsonl)
+    expect_same_bytes("phase-2 CSV", ref_csv, final_csv)
 
 
 def main():
@@ -216,8 +218,8 @@ def main():
         if os.path.isfile(path):
             os.remove(path)
 
-    ref_jsonl = phase1_local_kill(args.dalorex, args.workdir)
-    phase2_daemon_kill(args.dalorex, args.workdir, ref_jsonl)
+    ref_jsonl, ref_csv = phase1_local_kill(args.dalorex, args.workdir)
+    phase2_daemon_kill(args.dalorex, args.workdir, ref_jsonl, ref_csv)
     print("chaos_smoke: PASS")
 
 
